@@ -689,11 +689,10 @@ ClusterEngineStats ClusterTimestampEngine::stats() const {
 std::uint64_t ClusterTimestampEngine::cluster_digest(ClusterId c) const {
   constexpr std::uint64_t kPrime = 0x100000001b3ull;
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (i * 8)) & 0xff)) * kPrime;
-    }
-  };
+  // One FNV-1a step per 64-bit value: the digest never leaves memory, and
+  // each step (h ^ v) * kPrime is a bijection of h (kPrime is odd), so a
+  // changed stored value always changes the result.
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kPrime; };
   for (const ProcessId p : *clusters_.members(c)) {
     mix(p);
     mix(ts_[p].size());

@@ -262,6 +262,7 @@ class ClusterTimestampEngine {
   /// (an *online-auditable* slice of state_digest()). Any in-place mutation
   /// of a stored component or cluster-receive flag in that cluster changes
   /// the digest; the IntegrityAuditor compares against a trusted baseline.
+  /// In-memory only (no snapshot format stores it).
   std::uint64_t cluster_digest(ClusterId c) const;
 
   /// Fault-injection hook (tests/benches model in-memory state corruption —

@@ -1,6 +1,8 @@
 #include "monitor/integrity_auditor.hpp"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 namespace ct {
 
@@ -10,24 +12,20 @@ constexpr std::size_t kTruthCacheCapacity = 512;
 
 IntegrityAuditor::IntegrityAuditor(const MonitoringEntity& monitor,
                                    const Trace& delivered,
+                                   ClusterDigests baseline,
                                    AuditOptions options)
     : monitor_(monitor),
       delivered_(delivered),
       options_(options),
       rng_(options.seed),
-      truth_(delivered, kTruthCacheCapacity) {
-  for (const EventId id : delivered_.delivery_order()) {
-    sampleable_.push_back(id);
-  }
-  for (const ClusterId c : monitor_.cluster_ids()) {
-    baseline_.emplace(c, monitor_.cluster_digest(c));
-  }
-}
+      truth_(delivered, kTruthCacheCapacity),
+      baseline_(std::move(baseline)) {}
 
 AuditFinding IntegrityAuditor::step() {
   ++stats_.steps;
   AuditFinding finding;
-  if (baseline_.empty() || sampleable_.size() < 2) return finding;
+  const std::span<const EventId> order = delivered_.delivery_order();
+  if (baseline_.empty() || order.size() < 2) return finding;
 
   const auto blame = [&](ClusterId c) {
     if (std::find(finding.corrupted.begin(), finding.corrupted.end(), c) ==
@@ -40,8 +38,8 @@ AuditFinding IntegrityAuditor::step() {
   // stored for f's cluster (f's timestamp plus the cluster receives of its
   // covered processes), so a mismatch localizes there.
   for (std::size_t i = 0; i < options_.pairs_per_step; ++i) {
-    const EventId e = rng_.pick(sampleable_);
-    const EventId f = rng_.pick(sampleable_);
+    const EventId e = order[rng_.index(order.size())];
+    const EventId f = order[rng_.index(order.size())];
     ++stats_.sampled_pairs;
     QueryCost unlimited;
     const auto answer = monitor_.precedes_metered(e, f, unlimited);
@@ -63,7 +61,15 @@ AuditFinding IntegrityAuditor::step() {
 }
 
 void IntegrityAuditor::rebaseline(ClusterId c) {
-  baseline_[c] = monitor_.cluster_digest(c);
+  const std::uint64_t digest = monitor_.cluster_digest(c);
+  const auto it = std::lower_bound(
+      baseline_.begin(), baseline_.end(), c,
+      [](const auto& entry, ClusterId id) { return entry.first < id; });
+  if (it != baseline_.end() && it->first == c) {
+    it->second = digest;
+  } else {
+    baseline_.emplace(it, c, digest);
+  }
 }
 
 }  // namespace ct

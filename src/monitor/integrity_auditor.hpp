@@ -10,8 +10,8 @@
 //    Fidge/Mattern recomputation (the ground truth the paper's §1.1 tools
 //    used; slow, but the audit runs off the query path);
 //  * per-cluster state digests — each cluster's stored timestamps are
-//    hashed and compared against a baseline captured when the state was
-//    last known-good (at construction, and after every repair).
+//    hashed and compared against a baseline of known-good digests (handed
+//    in at construction, re-captured after every repair).
 //
 // The auditor only *detects* and *localizes* (to a cluster) — the broker
 // (query_broker.hpp) owns the consequences: tripping the backend's circuit
@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "model/trace.hpp"
@@ -59,11 +58,12 @@ struct AuditFinding {
 class IntegrityAuditor {
  public:
   /// `delivered` must be the monitor's delivered_trace() and both must
-  /// outlive the auditor. Captures baseline digests immediately — construct
-  /// only while the state is known good. No-op (always clean) for monitors
-  /// without a cluster backend.
+  /// outlive the auditor. `baseline` is the monitor's cluster_digests()
+  /// taken while its state was known good (the auditor keeps its own copy;
+  /// rebaseline() changes it). No-op (always clean) with an empty baseline,
+  /// as for monitors without a cluster backend.
   IntegrityAuditor(const MonitoringEntity& monitor, const Trace& delivered,
-                   AuditOptions options);
+                   ClusterDigests baseline, AuditOptions options);
 
   /// Runs one audit step. Detection only — never mutates monitor state.
   /// NOT thread-safe (seeded sampler, ground-truth cache); the broker
@@ -81,8 +81,7 @@ class IntegrityAuditor {
   AuditOptions options_;
   Prng rng_;
   OnDemandFmEngine truth_;  ///< exact, recomputes from event records
-  std::vector<EventId> sampleable_;  ///< delivered events (uniform sampling)
-  std::unordered_map<ClusterId, std::uint64_t> baseline_;
+  ClusterDigests baseline_;  ///< ascending cluster id
   AuditStats stats_;
 };
 

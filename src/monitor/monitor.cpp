@@ -211,6 +211,14 @@ std::uint64_t MonitoringEntity::cluster_digest(ClusterId c) const {
   return cluster_->cluster_digest(c);
 }
 
+ClusterDigests MonitoringEntity::cluster_digests() const {
+  ClusterDigests out;
+  for (const ClusterId c : cluster_ids()) {  // ascending
+    out.emplace_back(c, cluster_->cluster_digest(c));
+  }
+  return out;
+}
+
 std::uint64_t MonitoringEntity::rebuild_cluster(ClusterId c) {
   CT_CHECK_MSG(cluster_, "rebuild requires the cluster backend");
   return cluster_->rebuild_cluster(

@@ -22,6 +22,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -37,6 +38,9 @@
 #include "util/check.hpp"
 
 namespace ct {
+
+/// Every current cluster's cluster_digest, in ascending cluster-id order.
+using ClusterDigests = std::vector<std::pair<ClusterId, std::uint64_t>>;
 
 class MonitoringEntity;
 struct SnapshotMeta;      // trace/snapshot.hpp
@@ -175,6 +179,9 @@ class MonitoringEntity {
 
   /// Auditable digest of one cluster's stored timestamps.
   std::uint64_t cluster_digest(ClusterId c) const;
+
+  /// cluster_digest of every current cluster, one pass (empty for FM).
+  ClusterDigests cluster_digests() const;
 
   /// Recomputes the stored timestamp values of cluster `c`'s processes by
   /// replaying the delivery log (self-repair after detected corruption).

@@ -13,7 +13,45 @@ inline std::uint64_t pack(EventId id) {
   return (static_cast<std::uint64_t>(id.process) << 32) | id.index;
 }
 
+BackendContext trace_context(const Trace& trace, const BrokerOptions& options) {
+  BackendContext ctx;
+  ctx.trace = &trace;
+  ctx.differential_interval = options.differential_interval;
+  ctx.ondemand_cache_capacity = options.ondemand_cache_capacity;
+  return ctx;
+}
+
 }  // namespace
+
+FrozenDelivery::FrozenDelivery(Trace trace, ClusterDigests digests)
+    : trace_(std::move(trace)), digests_(std::move(digests)) {}
+
+std::shared_ptr<const FrozenDelivery> FrozenDelivery::freeze(
+    const MonitoringEntity& monitor, const BrokerOptions& options,
+    ClusterDigests digests) {
+  // The links keep references into trace_, so they are built only once the
+  // object sits at its final address.
+  std::shared_ptr<FrozenDelivery> frozen(
+      new FrozenDelivery(monitor.delivered_trace(), std::move(digests)));
+  const BackendContext ctx = trace_context(frozen->trace_, options);
+  for (const ServingBackend b : options.chain) {
+    if (b == ServingBackend::kCluster) continue;  // monitor-coupled
+    // Building a link is how its capabilities are read; the links that
+    // are not full replays are cheap to build and stay per broker.
+    auto link = BackendRegistry::instance().make(b, ctx);
+    if (link->capabilities().rebuild_cost == RebuildCost::kFullReplay) {
+      frozen->links_.push_back(std::move(link));
+    }
+  }
+  return frozen;
+}
+
+CausalityBackend* FrozenDelivery::shared_link(ServingBackend b) const {
+  for (const auto& link : links_) {
+    if (link->id() == b) return link.get();
+  }
+  return nullptr;
+}
 
 const char* to_string(QueryOutcome o) {
   switch (o) {
@@ -53,17 +91,38 @@ ServingBackend QueryBroker::worse(ServingBackend a, ServingBackend b) const {
 
 QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
                          BrokerOptions options)
+    : QueryBroker(monitor, pool, options,
+                  FrozenDelivery::freeze(monitor, options,
+                                         monitor.cluster_digests())) {}
+
+QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
+                         BrokerOptions options,
+                         std::shared_ptr<const FrozenDelivery> frozen)
     : monitor_(monitor),
       pool_(pool),
       options_(std::move(options)),
-      trace_(monitor.delivered_trace()),
+      frozen_(std::move(frozen)),
       lock_free_reads_(monitor.lock_free_reads()) {
+  CT_CHECK_MSG(frozen_ != nullptr, "broker needs a frozen delivered state");
+  // Fallback answers come from the frozen state, so it must hold exactly
+  // the events the monitor has delivered.
+  const Trace& trace = frozen_->trace();
+  CT_CHECK_MSG(trace.process_count() == monitor_.process_count() &&
+                   trace.event_count() == monitor_.delivery_log().size(),
+               "frozen delivered state holds "
+                   << trace.event_count() << " events of "
+                   << trace.process_count() << " processes, the monitor "
+                   << monitor_.delivery_log().size() << " of "
+                   << monitor_.process_count());
+  for (ProcessId p = 0; p < trace.process_count(); ++p) {
+    CT_CHECK_MSG(trace.process_size(p) == monitor_.delivered_count(p),
+                 "frozen delivered state holds "
+                     << trace.process_size(p) << " events of process " << p
+                     << ", the monitor " << monitor_.delivered_count(p));
+  }
   CT_CHECK_MSG(!options_.chain.empty(), "broker chain must not be empty");
 
-  BackendContext ctx;
-  ctx.trace = &trace_;
-  ctx.differential_interval = options_.differential_interval;
-  ctx.ondemand_cache_capacity = options_.ondemand_cache_capacity;
+  BackendContext ctx = trace_context(trace, options_);
   // The kCluster link serves from the monitor under this broker's locking
   // discipline: readers pin the epoch domain (default) or hold cluster_mu_
   // shared (legacy engines), exactly as the pre-registry chain did.
@@ -84,7 +143,11 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
       CT_CHECK_MSG(built->id() != b,
                    "duplicate chain link: " << to_string(b));
     }
-    chain_.push_back(registry.make(b, ctx));
+    if (CausalityBackend* shared = frozen_->shared_link(b)) {
+      chain_.emplace_back(frozen_, shared);  // shares frozen_'s lifetime
+    } else {
+      chain_.push_back(registry.make(b, ctx));
+    }
     CT_CHECK_MSG(chain_.back()->capabilities().supports_frontier,
                  "chain link " << to_string(b)
                                << " cannot serve frontier queries");
@@ -97,8 +160,8 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
         SynchronizedLruCache<PairKey, bool, PairKeyHash>>(
         options_.answer_cache_capacity);
   }
-  auditor_ =
-      std::make_unique<IntegrityAuditor>(monitor_, trace_, options_.audit);
+  auditor_ = std::make_unique<IntegrityAuditor>(
+      monitor_, trace, frozen_->digests(), options_.audit);
 }
 
 QueryBroker::~QueryBroker() { drain(); }
@@ -230,9 +293,10 @@ void QueryBroker::run_one() {
 }
 
 bool QueryBroker::validate(const Job& job) const {
+  const Trace& trace = delivered();
   const auto known = [&](EventId id) {
-    return id.process < trace_.process_count() && id.index >= 1 &&
-           id.index <= trace_.process_size(id.process);
+    return id.process < trace.process_count() && id.index >= 1 &&
+           id.index <= trace.process_size(id.process);
   };
   switch (job.kind) {
     case Job::Kind::kPrecedence:
@@ -305,10 +369,10 @@ QueryResult QueryBroker::execute(const Job& job) {
         worst = worse(worst, used);
         return answer;
       };
+      const Trace& trace = delivered();
       CausalFrontiers frontiers = compute_frontiers_with(
-          trace_.process_count(), job.e, precedes, [&](ProcessId q) {
-            return trace_.process_size(q);
-          });
+          trace.process_count(), job.e, precedes,
+          [&](ProcessId q) { return trace.process_size(q); });
       finish_status(failure);
       if (failure == ChainStatus::kOk) {
         result.frontiers = std::move(frontiers);

@@ -26,10 +26,17 @@
 //    from the delivery log, and re-admit the backend only after a
 //    configurable number of clean audit steps.
 //
-// Serving epoch: the broker freezes the monitor's delivered state at
-// construction (it reconstructs the delivered trace for its fallback
-// backends). Ingesting into the monitor while a broker serves it is
-// undefined; drain() / destroy the broker first, then re-ingest.
+// Serving epoch: a broker serves one FrozenDelivery — the monitor's
+// delivered trace, the chain links that replay it in full (differential,
+// tree clock), and the known-good cluster digests its audit starts from —
+// frozen when the epoch opens. A broker built from (monitor, pool, options)
+// freezes its own; the ShardRouter freezes one per tenant epoch and hands
+// it to the brokers of every coherent replica, which share it read-only
+// (their cluster link, on-demand FM link, breakers, answer cache and
+// auditor stay their own). A FrozenDelivery whose delivered event counts
+// disagree with the monitor's is refused at construction. Ingesting into
+// the monitor while a broker serves it is undefined; drain() / destroy the
+// broker first, then re-ingest.
 #pragma once
 
 #include <condition_variable>
@@ -165,12 +172,51 @@ struct BrokerOptions {
   std::vector<ServingBackend> chain = default_broker_chain();
 };
 
+/// One serving epoch's delivered state, immutable once frozen: the
+/// delivered trace, the chain links whose state is a full replay of it
+/// (RebuildCost::kFullReplay; see docs/BACKENDS.md for what sharing them
+/// requires), and the cluster digests the integrity audit starts from.
+/// Brokers hold it through shared_ptr<const FrozenDelivery>.
+class FrozenDelivery {
+ public:
+  /// Freezes `monitor`'s delivered state for brokers built with `options`.
+  /// `digests` must be monitor.cluster_digests(), taken while the stored
+  /// timestamps are known good.
+  static std::shared_ptr<const FrozenDelivery> freeze(
+      const MonitoringEntity& monitor, const BrokerOptions& options,
+      ClusterDigests digests);
+
+  FrozenDelivery(const FrozenDelivery&) = delete;
+  FrozenDelivery& operator=(const FrozenDelivery&) = delete;
+
+  const Trace& trace() const { return trace_; }
+  const ClusterDigests& digests() const { return digests_; }
+  /// The shared link serving `b`, or null when brokers build `b` themselves
+  /// (kCluster and any link whose rebuild cost is not a full replay).
+  CausalityBackend* shared_link(ServingBackend b) const;
+
+ private:
+  FrozenDelivery(Trace trace, ClusterDigests digests);
+
+  Trace trace_;  ///< the shared links below hold references into it
+  ClusterDigests digests_;
+  std::vector<std::unique_ptr<CausalityBackend>> links_;
+};
+
 class QueryBroker {
  public:
   /// `monitor` and `pool` must outlive the broker; the pool must not be
-  /// shut down before the broker is drained or destroyed.
+  /// shut down before the broker is drained or destroyed. Freezes the
+  /// monitor's delivered state for this broker alone.
   QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
               BrokerOptions options = {});
+
+  /// Serves `frozen`, which must have been frozen from a replica holding
+  /// the same delivered state as `monitor` with the same `options`
+  /// (CT_CHECKed: total and per-process delivered event counts).
+  QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
+              BrokerOptions options,
+              std::shared_ptr<const FrozenDelivery> frozen);
 
   /// Drains every admitted query (and any trailing audit) before
   /// returning.
@@ -215,7 +261,7 @@ class QueryBroker {
   AuditStats audit_stats() const;
   const BrokerOptions& options() const { return options_; }
   /// The frozen delivered state this broker serves.
-  const Trace& delivered() const { return trace_; }
+  const Trace& delivered() const { return frozen_->trace(); }
 
   /// The constructed fallback chain (registry-built; options().chain order).
   std::size_t chain_length() const { return chain_.size(); }
@@ -268,12 +314,13 @@ class QueryBroker {
   ThreadPool& pool_;
   BrokerOptions options_;
 
-  Trace trace_;  ///< delivered prefix, frozen at construction
-  /// The fallback links, built from options_.chain via the BackendRegistry.
-  /// The kCluster link reaches the monitor through a hook that carries this
-  /// broker's locking discipline (epoch pin / cluster_mu_); the rest own
-  /// their state over trace_.
-  std::vector<std::unique_ptr<CausalityBackend>> chain_;
+  std::shared_ptr<const FrozenDelivery> frozen_;
+  /// The fallback links in options_.chain order. The kCluster link reaches
+  /// the monitor through a hook that carries this broker's locking
+  /// discipline (epoch pin / cluster_mu_); full-replay links alias
+  /// frozen_'s shared ones; the rest are this broker's own, built over
+  /// frozen_'s trace.
+  std::vector<std::shared_ptr<CausalityBackend>> chain_;
   /// Chain position of kCluster, when present (audit readmission and the
   /// batch bulk fast path are cluster-specific).
   std::optional<std::size_t> cluster_slot_;

@@ -24,15 +24,20 @@ ServingBackend worse(ServingBackend a, ServingBackend b) {
 /// Coherence digest of one replica: the delivered-state digest folded with
 /// every cluster's stored-timestamp digest. state_digest() alone covers the
 /// delivery log and frontier but not the mutable timestamp store, so a
-/// bit-flipped stored component (FAULT_MODEL §6) would slip past it.
-std::uint64_t replica_digest(const MonitoringEntity& m) {
-  std::uint64_t d = m.state_digest();
-  std::vector<ClusterId> ids = m.cluster_ids();
-  std::sort(ids.begin(), ids.end());
-  for (const ClusterId c : ids) {
-    d = d * 0x9e3779b97f4a7c15ULL + m.cluster_digest(c);
+/// bit-flipped stored component (FAULT_MODEL §6) would slip past it. The
+/// per-cluster digests come back too: the vote winner's become the audit
+/// baseline of every broker of the epoch.
+struct ReplicaDigest {
+  std::uint64_t folded = 0;
+  ClusterDigests clusters;
+};
+
+ReplicaDigest replica_digest(const MonitoringEntity& m) {
+  ReplicaDigest out{m.state_digest(), m.cluster_digests()};
+  for (const auto& [c, digest] : out.clusters) {
+    out.folded = out.folded * 0x9e3779b97f4a7c15ULL + digest;
   }
-  return d;
+  return out;
 }
 
 }  // namespace
@@ -147,7 +152,7 @@ ShardRouter::TenantMigrationResult ShardRouter::migrate_tenant(
   // Digest the leader BEFORE it adopts the new partition: replicas that
   // already disagree are quarantine-bound and must not adopt a migration
   // planned against state they do not hold.
-  const std::uint64_t leader_digest = replica_digest(leader);
+  const std::uint64_t leader_digest = replica_digest(leader).folded;
 
   TenantMigrationResult out;
   out.outcome = ten.migrator->run_cycle(fault);
@@ -161,7 +166,7 @@ ShardRouter::TenantMigrationResult ShardRouter::migrate_tenant(
 
   for (ShardId s = 1; s < ten.shards.size(); ++s) {
     Shard& sh = ten.shards[s];
-    if (sh.retired || replica_digest(*sh.monitor) != leader_digest) {
+    if (sh.retired || replica_digest(*sh.monitor).folded != leader_digest) {
       // Skipped replicas reconcile through the §8 machinery: the partition
       // folds into the replica digest, so the next open_epoch quarantines
       // them until reconcile_replica() re-aligns.
@@ -209,24 +214,26 @@ void ShardRouter::open_epoch() {
     //    digest disagrees with the majority (lowest shard wins a tie). A
     //    diverged replica cannot serve exact answers, so it sits the epoch
     //    out — the bulkhead against serving from silently-wrong state.
-    std::vector<std::pair<ShardId, std::uint64_t>> digests;
+    std::vector<std::pair<ShardId, ReplicaDigest>> digests;
     for (ShardId s = 0; s < ten.shards.size(); ++s) {
       ten.shards[s].divergent = false;
       if (!ten.shards[s].retired) {
         digests.emplace_back(s, replica_digest(*ten.shards[s].monitor));
       }
     }
+    // The majority replica (the first one, when nothing is voted on).
+    std::size_t winner = 0;
     if (digests.size() >= 2) {
-      std::uint64_t majority = digests[0].second;
       std::size_t best = 0;
-      for (const auto& [s, d] : digests) {
-        const std::size_t votes = static_cast<std::size_t>(
-            std::count_if(digests.begin(), digests.end(),
-                          [&](const auto& x) { return x.second == d; }));
-        if (votes > best) { best = votes; majority = d; }
+      for (std::size_t i = 0; i < digests.size(); ++i) {
+        const std::uint64_t d = digests[i].second.folded;
+        const std::size_t votes = static_cast<std::size_t>(std::count_if(
+            digests.begin(), digests.end(),
+            [&](const auto& x) { return x.second.folded == d; }));
+        if (votes > best) { best = votes; winner = i; }
       }
       for (const auto& [s, d] : digests) {
-        if (d != majority) {
+        if (d.folded != digests[winner].second.folded) {
           ten.shards[s].divergent = true;
           ++ten.health.divergent_replicas;
         }
@@ -237,7 +244,7 @@ void ShardRouter::open_epoch() {
     for (ShardId s = 0; s < ten.shards.size(); ++s) {
       Shard& sh = ten.shards[s];
       sh.fault = ShardFault::kNone;
-      sh.corrupted = false;
+      sh.corrupted.clear();
       if (sh.retired || sh.divergent) continue;
       ShardFault f = draw_shard_fault(options_.faults, t, s, epoch_);
       if (f == ShardFault::kCorruptCluster &&
@@ -261,11 +268,18 @@ void ShardRouter::open_epoch() {
 
     // 4. A broker per live shard (dead-drawn shards keep one too — a fault
     //    injected or lifted mid-epoch must not leave them broker-less).
+    //    The replicas are coherent, so their brokers share one frozen
+    //    delivered state, taken from the majority replica before any
+    //    corruption is planted; its digests are the vote's.
+    if (digests.empty()) continue;  // every replica retired
+    const auto frozen = FrozenDelivery::freeze(
+        *ten.shards[digests[winner].first].monitor, ten.config.broker,
+        std::move(digests[winner].second.clusters));
     for (ShardId s = 0; s < ten.shards.size(); ++s) {
       Shard& sh = ten.shards[s];
       if (sh.retired || sh.divergent) continue;
       sh.broker = std::make_unique<QueryBroker>(*sh.monitor, pool_,
-                                                ten.config.broker);
+                                                ten.config.broker, frozen);
       if (sh.fault == ShardFault::kCorruptCluster) {
         apply_corruption(t, ten, s);
       }
@@ -290,7 +304,13 @@ void ShardRouter::apply_corruption(TenantId t, Tenant& ten, ShardId s) {
   sh.monitor->inject_timestamp_corruption(
       victim, 0, static_cast<EventIndex>(victim.index ^ 0x2bad));
   sh.broker->trip_backend(ServingBackend::kCluster);
-  sh.corrupted = true;
+  // Membership cannot change within an epoch, so this is the cluster
+  // close_epoch must repair.
+  const ClusterId c = *sh.monitor->cluster_of(victim.process);
+  if (std::find(sh.corrupted.begin(), sh.corrupted.end(), c) ==
+      sh.corrupted.end()) {
+    sh.corrupted.push_back(c);
+  }
 }
 
 void ShardRouter::close_epoch() {
@@ -299,15 +319,11 @@ void ShardRouter::close_epoch() {
     Tenant& ten = *tptr;
     for (auto& sh : ten.shards) {
       sh.broker.reset();  // drains
-      if (sh.corrupted) {
-        // Repair from the delivery log so the replica rejoins the
-        // coherent set next epoch (same mechanism the integrity audit
-        // uses).
-        for (const ClusterId c : sh.monitor->cluster_ids()) {
-          sh.monitor->rebuild_cluster(c);
-        }
-        sh.corrupted = false;
-      }
+      // Repair the planted clusters from the delivery log so the replica
+      // rejoins the coherent set next epoch (same mechanism the integrity
+      // audit uses).
+      for (const ClusterId c : sh.corrupted) sh.monitor->rebuild_cluster(c);
+      sh.corrupted.clear();
       sh.fault = ShardFault::kNone;
       sh.divergent = false;
     }
@@ -610,7 +626,7 @@ RouterQueryResult ShardRouter::run_single(Tenant& ten, QueryKind kind,
       // may repair and re-admit the cluster backend mid-epoch, and its
       // answer cache serves exact hits, but the router only re-certifies
       // the replica at the next epoch's coherence check.
-      const bool killswitched = ten.shards[s].corrupted;
+      const bool killswitched = !ten.shards[s].corrupted.empty();
       out.outcome =
           (k > 0 || killswitched || degraded_backend(out.backend_used))
               ? RouterOutcome::kDegraded
@@ -680,7 +696,7 @@ RouterQueryResult ShardRouter::run_batch(
     sub.reserve(group.size());
     for (const std::size_t i : group) sub.push_back(pairs[i]);
     in_flight.push_back({sh.broker->submit_batch(std::move(sub), eff),
-                         &group, factor, sh.corrupted});
+                         &group, factor, !sh.corrupted.empty()});
   }
   for (InFlight& fl : in_flight) {
     QueryResult r = fl.future.get();
@@ -834,6 +850,12 @@ const MonitoringEntity& ShardRouter::shard_monitor(TenantId t,
   const Tenant& ten = tenant(t);
   CT_CHECK_MSG(s < ten.shards.size(), "shard " << s << " out of range");
   return *ten.shards[s].monitor;
+}
+
+const QueryBroker* ShardRouter::shard_broker(TenantId t, ShardId s) const {
+  const Tenant& ten = tenant(t);
+  CT_CHECK_MSG(s < ten.shards.size(), "shard " << s << " out of range");
+  return ten.shards[s].broker.get();
 }
 
 MonitoringEntity& ShardRouter::mutable_shard_monitor(TenantId t, ShardId s) {

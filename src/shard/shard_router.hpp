@@ -35,12 +35,13 @@
 // fault-free schedule). Partitioning the STORAGE across shards is the
 // complementary axis and stays on the ROADMAP.
 //
-// Epochs: brokers freeze delivered state at construction, so the router
-// serves in epochs — open_epoch() builds a broker per live shard (after a
-// replica-coherence digest check; a divergent replica is quarantined for
-// the epoch), draws this epoch's shard faults from the seeded plan, and
-// computes cluster ownership; close_epoch() drains the brokers, repairs
-// injected corruption, and re-enables ingest. Queries are thread-safe
+// Epochs: brokers serve a frozen delivered state, so the router serves in
+// epochs — open_epoch() checks replica coherence (one digest pass per
+// replica; a divergent replica is quarantined for the epoch), draws this
+// epoch's shard faults from the seeded plan, computes cluster ownership,
+// freezes the delivered state once per tenant and builds a broker per live
+// shard over it; close_epoch() drains the brokers, repairs the clusters
+// injected corruption hit, and re-enables ingest. Queries are thread-safe
 // within an epoch; epoch transitions, ingest, and fault injection must be
 // externally quiesced (same contract as the broker's serving epoch).
 #pragma once
@@ -224,12 +225,14 @@ class ShardRouter {
 
   /// Freezes delivered state and starts serving: digest-checks replica
   /// coherence (divergent replicas are quarantined for the epoch), draws
-  /// this epoch's shard faults from options().faults, builds a broker per
-  /// live shard, computes per-cluster ownership, and applies the §6
-  /// kill-switch protocol to corrupt-drawn shards.
+  /// this epoch's shard faults from options().faults, computes per-cluster
+  /// ownership, freezes one FrozenDelivery per tenant from a majority
+  /// replica, builds a broker per live shard sharing it, and applies the
+  /// §6 kill-switch protocol to corrupt-drawn shards.
   void open_epoch();
-  /// Drains every broker, repairs injected corruption (rebuild from the
-  /// delivery log), clears epoch faults, and re-enables ingest.
+  /// Drains every broker, repairs the clusters injected corruption hit
+  /// (rebuild from the delivery log), clears epoch faults, and re-enables
+  /// ingest.
   void close_epoch();
   bool serving() const { return serving_; }
   std::uint64_t epoch() const { return epoch_; }
@@ -300,6 +303,9 @@ class ShardRouter {
   RouterHealth health() const;
   const RouterOptions& options() const { return options_; }
   const MonitoringEntity& shard_monitor(TenantId t, ShardId s) const;
+  /// Shard `s`'s broker this epoch; null outside an epoch and for a
+  /// retired or quarantined replica.
+  const QueryBroker* shard_broker(TenantId t, ShardId s) const;
   /// Test hook (corruption injection before an epoch opens).
   MonitoringEntity& mutable_shard_monitor(TenantId t, ShardId s);
 
@@ -308,7 +314,9 @@ class ShardRouter {
     std::unique_ptr<MonitoringEntity> monitor;
     std::unique_ptr<QueryBroker> broker;  ///< live only within an epoch
     ShardFault fault = ShardFault::kNone; ///< this epoch's fault
-    bool corrupted = false;  ///< kCorruptCluster applied; repair on close
+    /// Clusters kCorruptCluster planted into this epoch (repaired on
+    /// close); non-empty = the shard is under the kill switch.
+    std::vector<ClusterId> corrupted;
     bool divergent = false;  ///< quarantined by this epoch's digest check
     bool retired = false;    ///< permanently lost (ingest-path fault)
   };

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "model/oracle.hpp"
+#include "model/trace_builder.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/queries.hpp"
 #include "monitor/query_broker.hpp"
@@ -620,6 +621,52 @@ TEST(QueryBroker, ServesFmBackedMonitorWithoutAudit) {
   // No cluster state to audit: steps are trivially clean.
   EXPECT_TRUE(broker.audit_step());
   EXPECT_TRUE(broker.health().accounted());
+}
+
+// A broker serves fallback answers from its FrozenDelivery, so one frozen
+// from a different delivered state must be refused, not served.
+TEST(QueryBroker, FrozenDeliveryOfAnotherStateIsACheckedError) {
+  const Trace t = small_trace();
+  const auto order = t.delivery_order();
+  MonitoringEntity leader(t.process_count(), broker_monitor_options(t));
+  MonitoringEntity replica(t.process_count(), broker_monitor_options(t));
+  MonitoringEntity behind(t.process_count(), broker_monitor_options(t));
+  feed(leader, t);
+  feed(replica, t);
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+    behind.ingest(t.event(order[i]));
+  }
+
+  ThreadPool pool(2);
+  const BrokerOptions options;
+  const auto frozen =
+      FrozenDelivery::freeze(leader, options, leader.cluster_digests());
+  {
+    QueryBroker shared(replica, pool, options, frozen);
+    EXPECT_EQ(&shared.delivered(), &frozen->trace());
+  }
+  EXPECT_THROW((QueryBroker{behind, pool, options, frozen}), CheckFailure);
+  EXPECT_THROW((QueryBroker{replica, pool, options, nullptr}), CheckFailure);
+
+  // Same event total, different per-process counts.
+  TraceBuilder two_on_p0;
+  two_on_p0.add_processes(2);
+  two_on_p0.unary(0);
+  two_on_p0.unary(0);
+  TraceBuilder one_each;
+  one_each.add_processes(2);
+  one_each.unary(0);
+  one_each.unary(1);
+  const Trace skewed = two_on_p0.build("skewed", TraceFamily::kControl);
+  const Trace even = one_each.build("even", TraceFamily::kControl);
+  MonitoringEntity skewed_monitor(2, broker_monitor_options(skewed));
+  MonitoringEntity even_monitor(2, broker_monitor_options(even));
+  feed(skewed_monitor, skewed);
+  feed(even_monitor, even);
+  const auto skewed_frozen = FrozenDelivery::freeze(
+      skewed_monitor, options, skewed_monitor.cluster_digests());
+  EXPECT_THROW((QueryBroker{even_monitor, pool, options, skewed_frozen}),
+               CheckFailure);
 }
 
 // ------------------------------------------------ shedding edge cases

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "cluster/merge_policy.hpp"
+#include "core/engine.hpp"
 #include "model/oracle.hpp"
 #include "model/trace_builder.hpp"
 #include "monitor/delivery_manager.hpp"
@@ -306,6 +308,60 @@ TEST(MonitoringEntity, PrecedesOnUndeliveredEventThrows) {
   options.cluster.fm_vector_width = 300;
   MonitoringEntity monitor(2, options);
   EXPECT_THROW(monitor.precedes(EventId{0, 1}, EventId{1, 1}), CheckFailure);
+}
+
+// The coherence vote and the integrity audit rely on this: one changed
+// stored component changes its own cluster's digest and no other.
+TEST(MonitoringEntity, EverySingleBitFlipChangesOnlyItsClustersDigest) {
+  const Trace t = generate_rpc_business({.groups = 3,
+                                         .clients_per_group = 2,
+                                         .servers_per_group = 2,
+                                         .calls = 40,
+                                         .seed = 29});
+  MonitorOptions options;
+  options.cluster.max_cluster_size = 4;
+  options.cluster.fm_vector_width = t.process_count();
+  MonitoringEntity monitor(t.process_count(), options);
+  // A twin engine over the same delivery order reads the stored values.
+  ClusterTimestampEngine twin(t.process_count(), options.cluster,
+                              make_merge_on_nth(options.nth_threshold));
+  for (const EventId id : t.delivery_order()) {
+    monitor.ingest(t.event(id));
+    twin.observe(t.event(id));
+  }
+  const ClusterDigests clean = monitor.cluster_digests();
+  ASSERT_GE(clean.size(), 3u);
+  for (const auto& [c, digest] : clean) {
+    ASSERT_EQ(digest, twin.cluster_digest(c));
+  }
+
+  Prng rng(31);
+  const auto order = t.delivery_order();
+  for (int row = 0; row < 16; ++row) {
+    const EventId e = order[rng.index(order.size())];
+    const std::vector<EventIndex>& values = twin.timestamp(e).values;
+    const std::size_t slot = rng.index(values.size());
+    const EventIndex stored = values[slot];
+    const ClusterId home = *monitor.cluster_of(e.process);
+    for (unsigned bit = 0; bit < 32; ++bit) {
+      monitor.inject_timestamp_corruption(
+          e, slot, stored ^ (EventIndex{1} << bit));
+      const ClusterDigests flipped = monitor.cluster_digests();
+      ASSERT_EQ(flipped.size(), clean.size());
+      for (std::size_t i = 0; i < clean.size(); ++i) {
+        ASSERT_EQ(flipped[i].first, clean[i].first);
+        if (clean[i].first == home) {
+          EXPECT_NE(flipped[i].second, clean[i].second)
+              << e << " slot " << slot << " bit " << bit;
+        } else {
+          EXPECT_EQ(flipped[i].second, clean[i].second)
+              << e << " slot " << slot << " bit " << bit;
+        }
+      }
+    }
+    monitor.inject_timestamp_corruption(e, slot, stored);
+    ASSERT_EQ(monitor.cluster_digests(), clean);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // answer-identity check (docs/FAULT_MODEL.md §8).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -11,6 +13,8 @@
 #include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "model/oracle.hpp"
+#include "monitor/queries.hpp"
+#include "monitor/query_broker.hpp"
 #include "shard/shard_check.hpp"
 #include "shard/shard_fault.hpp"
 #include "shard/shard_router.hpp"
@@ -212,6 +216,140 @@ TEST(ShardRouter, CorruptClusterShardServesExactViaFallbacksFlaggedDegraded) {
   EXPECT_EQ(clean.outcome, RouterOutcome::kAnswered);
   router.close_epoch();
   EXPECT_EQ(router.tenant_health(ten).divergent_replicas, 0u);
+}
+
+TEST(ShardRouter, CorruptClusterRepairOnManyClustersLeavesReplicasCoherent) {
+  // maxCS 1 keeps every process a singleton cluster: close_epoch must find
+  // and repair the planted cluster among 40.
+  const Trace t = generate_uniform_random(
+      {.processes = 40, .messages = 300, .seed = 61});
+  TenantConfig tc = small_tenant(t);
+  tc.monitor.cluster.max_cluster_size = 1;
+  RouterOptions ro;
+  ro.faults.corrupt_rate = 1.0;  // every shard, every epoch
+  ShardRouter router(ro);
+  const TenantId ten = router.add_tenant(tc);
+  feed(router, ten, t);
+  const CausalityOracle oracle(t);
+  const auto events = all_events(t);
+
+  Prng rng(23);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    router.open_epoch();
+    ASSERT_EQ(router.shard_monitor(ten, 0).cluster_ids().size(), 40u);
+    for (ShardId s = 0; s < 3; ++s) {
+      ASSERT_EQ(router.shard_fault(ten, s), ShardFault::kCorruptCluster);
+    }
+    for (int i = 0; i < 40; ++i) {
+      const EventId e = rng.pick(events);
+      const EventId f = rng.pick(events);
+      const RouterQueryResult r = router.precedence(ten, e, f);
+      ASSERT_TRUE(r.answer.has_value());
+      EXPECT_EQ(*r.answer, oracle.happened_before(e, f));
+    }
+    router.close_epoch();
+    EXPECT_EQ(router.tenant_health(ten).divergent_replicas, 0u);
+  }
+  // The repaired replicas match a monitor that never saw corruption.
+  MonitoringEntity reference(t.process_count(), tc.monitor);
+  for (const EventId id : t.delivery_order()) reference.ingest(t.event(id));
+  for (ShardId s = 0; s < 3; ++s) {
+    EXPECT_EQ(router.shard_monitor(ten, s).cluster_digests(),
+              reference.cluster_digests())
+        << "shard " << s;
+  }
+}
+
+TEST(ShardRouter, CoherentReplicasShareOneFrozenDelivery) {
+  const Trace t = small_trace();
+  ShardRouter router;
+  TenantConfig tc = small_tenant(t);
+  tc.broker.chain.push_back(ServingBackend::kTreeClock);
+  const TenantId ten = router.add_tenant(tc);
+  feed(router, ten, t);
+  router.mutable_shard_monitor(ten, 2).inject_timestamp_corruption(
+      all_events(t).back(), 0, 0x7777);
+
+  router.open_epoch();
+  ASSERT_EQ(router.tenant_health(ten).divergent_replicas, 1u);
+  const QueryBroker* a = router.shard_broker(ten, 0);
+  const QueryBroker* b = router.shard_broker(ten, 1);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  // The quarantined replica has no broker, so it holds neither.
+  EXPECT_EQ(router.shard_broker(ten, 2), nullptr);
+  EXPECT_EQ(&a->delivered(), &b->delivered());
+  ASSERT_EQ(a->chain_length(), 4u);
+  std::size_t shared = 0;
+  for (std::size_t i = 0; i < a->chain_length(); ++i) {
+    const bool full_replay = a->link(i).capabilities().rebuild_cost ==
+                             RebuildCost::kFullReplay;
+    EXPECT_EQ(&a->link(i) == &b->link(i), full_replay) << a->link(i).name();
+    if (full_replay) ++shared;
+  }
+  EXPECT_EQ(shared, 2u);  // differential and tree clock
+  EXPECT_EQ(&a->link(1), &b->link(1));
+  EXPECT_EQ(a->link(1).id(), ServingBackend::kDifferential);
+  router.close_epoch();
+  EXPECT_EQ(router.shard_broker(ten, 0), nullptr);
+}
+
+TEST(ShardRouter, ConcurrentReadsOfSharedFallbackLinksStayExact) {
+  const Trace t = small_trace();
+  ShardRouter router;
+  TenantConfig tc = small_tenant(t);
+  tc.broker.answer_cache_capacity = 0;  // every test reaches the chain
+  const TenantId ten = router.add_tenant(tc);
+  feed(router, ten, t);
+  const CausalityOracle oracle(t);
+  const auto events = all_events(t);
+
+  router.open_epoch();
+  // Two kill-switched replicas answer through the differential link their
+  // brokers share, from several router callers at once.
+  router.inject_shard_fault(ten, 0, ShardFault::kCorruptCluster);
+  router.inject_shard_fault(ten, 1, ShardFault::kCorruptCluster);
+  std::atomic<std::uint64_t> via_shared[2] = {0, 0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&, c] {
+      Prng rng(static_cast<std::uint64_t>(c) + 41);
+      for (int i = 0; i < 150; ++i) {
+        const EventId e = rng.pick(events);
+        const EventId f = rng.pick(events);
+        if (i % 10 == 0) {
+          const RouterQueryResult r = router.frontier(ten, f);
+          ASSERT_TRUE(r.frontiers.has_value());
+          const CausalFrontiers want = compute_frontiers_with(
+              t.process_count(), f,
+              [&](EventId a, EventId b) {
+                return oracle.happened_before(a, b);
+              },
+              [&](ProcessId q) { return t.process_size(q); });
+          EXPECT_EQ(r.frontiers->greatest_predecessor,
+                    want.greatest_predecessor);
+          EXPECT_EQ(r.frontiers->greatest_concurrent,
+                    want.greatest_concurrent);
+          continue;
+        }
+        const RouterQueryResult r = router.precedence(ten, e, f);
+        ASSERT_TRUE(r.answer.has_value());
+        EXPECT_EQ(*r.answer, oracle.happened_before(e, f));
+        if (r.shard < 2 && r.backend_used == ServingBackend::kDifferential) {
+          ++via_shared[r.shard];
+        }
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  router.close_epoch();
+
+  EXPECT_GT(via_shared[0].load(), 0u);
+  EXPECT_GT(via_shared[1].load(), 0u);
+  const TenantHealth h = router.tenant_health(ten);
+  EXPECT_TRUE(h.accounted());
+  EXPECT_EQ(h.submitted, 600u);
+  EXPECT_EQ(h.in_flight, 0u);
 }
 
 TEST(ShardRouter, ExternallyDivergedReplicaIsQuarantinedByDigestCheck) {
