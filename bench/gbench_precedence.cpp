@@ -9,9 +9,10 @@
 // FM engine, cluster engine).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -89,31 +90,6 @@ void BM_Precedence_Cluster(benchmark::State& state) {
 }
 BENCHMARK(BM_Precedence_Cluster)->Arg(50)->Arg(100)->Arg(200)->Arg(300);
 
-// The A/B control for the performance layer: same engine, same queries,
-// arena mirror off — per-vector heap hops and binary searches instead of
-// contiguous rows and dense position indices. main() verifies both paths
-// agree query-for-query before any timing runs.
-void BM_Precedence_ClusterLegacy(benchmark::State& state) {
-  const Trace& t = trace_for(static_cast<std::size_t>(state.range(0)));
-  ClusterEngineConfig config{.max_cluster_size = 13,
-                             .fm_vector_width = 300,
-                             .use_arena = false};
-  ClusterTimestampEngine engine(t.process_count(), config,
-                                make_merge_on_nth(10));
-  engine.observe_trace(t);
-  const auto pairs = query_pairs(t, 1024);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [e, f] = pairs[i++ & 1023];
-    benchmark::DoNotOptimize(engine.precedes(t.event(e), t.event(f)));
-  }
-}
-BENCHMARK(BM_Precedence_ClusterLegacy)
-    ->Arg(50)
-    ->Arg(100)
-    ->Arg(200)
-    ->Arg(300);
-
 // The POET/OLT strategy: bounded cache, compute forward on miss. This is
 // the configuration the paper blames for minutes-long scrolling at N≈1000;
 // we keep N ≤ 300 and let the recomputation counter tell the story.
@@ -165,8 +141,14 @@ void BM_Precedence_Recursive(benchmark::State& state) {
   ClusterTimestampEngine engine(t.process_count(), config,
                                 make_merge_on_nth(10));
   engine.observe_trace(t);
+  // timestamp() materializes by value; the lookup hands out references, so
+  // every stored timestamp is materialized once, outside the timed loop.
+  std::unordered_map<EventId, ClusterTimestamp> stored;
+  for (const EventId id : t.delivery_order()) {
+    stored.emplace(id, engine.timestamp(id));
+  }
   const TimestampLookup lookup = [&](EventId id) -> const ClusterTimestamp& {
-    return engine.timestamp(id);
+    return stored.at(id);
   };
   const auto pairs = query_pairs(t, 1024);
   std::size_t i = 0;
@@ -253,83 +235,41 @@ BENCHMARK(BM_BPlusTree_InsertLookup)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------- arena acceptance verification
-
-/// Seconds (best of 3) to answer `pairs` through `engine`. The event
-/// records are pre-resolved so the loop times the precedence paths, not
-/// the trace's bounds-checked event lookups (shared by both variants).
-double time_precedes(
-    const ClusterTimestampEngine& engine,
-    const std::vector<std::pair<const Event*, const Event*>>& pairs) {
-  using clock = std::chrono::steady_clock;
-  double best = 1e100;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::size_t hits = 0;
-    const auto start = clock::now();
-    for (const auto& [e, f] : pairs) {
-      hits += engine.precedes(*e, *f) ? 1U : 0U;
-    }
-    const double s =
-        std::chrono::duration<double>(clock::now() - start).count();
-    benchmark::DoNotOptimize(hits);
-    best = std::min(best, s);
-  }
-  return best;
-}
+// --------------------------------------------------- answer verification
 
 /// The acceptance gate run before every benchmark session: at the largest
-/// standard size the arena path must answer every query exactly like the
-/// legacy path (plain AND metered, including tick accounting) — only then
-/// are the timing numbers comparing like with like.
-void verify_arena_exactness() {
+/// standard size the cluster engine must answer every query exactly like
+/// the precomputed Fidge/Mattern store, plain and metered — only then are
+/// the timing numbers comparing like with like.
+void verify_engine_exactness() {
   constexpr std::size_t kN = 300;
   const Trace& t = trace_for(kN);
-  ClusterEngineConfig fast_cfg{.max_cluster_size = 13,
-                               .fm_vector_width = 300};
-  ClusterEngineConfig slow_cfg = fast_cfg;
-  slow_cfg.use_arena = false;
-  ClusterTimestampEngine fast(t.process_count(), fast_cfg,
-                              make_merge_on_nth(10));
-  ClusterTimestampEngine slow(t.process_count(), slow_cfg,
-                              make_merge_on_nth(10));
-  fast.observe_trace(t);
-  slow.observe_trace(t);
+  ClusterEngineConfig config{.max_cluster_size = 13, .fm_vector_width = 300};
+  ClusterTimestampEngine engine(t.process_count(), config,
+                                make_merge_on_nth(10));
+  engine.observe_trace(t);
+  const FmStore truth(t);
 
   const auto pairs = query_pairs(t, 1 << 15);
   for (const auto& [e, f] : pairs) {
-    const bool a = fast.precedes(t.event(e), t.event(f));
-    const bool b = slow.precedes(t.event(e), t.event(f));
-    CT_CHECK_MSG(a == b, "arena/legacy disagree on " << e << " -> " << f);
+    const bool want = truth.precedes(e, f);
+    CT_CHECK_MSG(engine.precedes(t.event(e), t.event(f)) == want,
+                 "engine and FM disagree on " << e << " -> " << f);
+    QueryCost cost;
+    CT_CHECK_MSG(engine.precedes_metered(t.event(e), t.event(f), cost) ==
+                     std::optional<bool>(want),
+                 "metered engine and FM disagree on " << e << " -> " << f);
   }
-  for (std::size_t i = 0; i < 4096; ++i) {
-    const auto& [e, f] = pairs[i];
-    QueryCost ca, cb;
-    const auto a = fast.precedes_metered(t.event(e), t.event(f), ca);
-    const auto b = slow.precedes_metered(t.event(e), t.event(f), cb);
-    CT_CHECK_MSG(a == b && ca.ticks == cb.ticks,
-                 "metered arena/legacy diverge on " << e << " -> " << f);
-  }
-
-  std::vector<std::pair<const Event*, const Event*>> records;
-  records.reserve(pairs.size());
-  for (const auto& [e, f] : pairs) {
-    records.emplace_back(&t.event(e), &t.event(f));
-  }
-  const double slow_s = time_precedes(slow, records);
-  const double fast_s = time_precedes(fast, records);
-  const double per = 1e9 / static_cast<double>(pairs.size());
-  std::printf(
-      "[perf] N=%zu: %zu query pairs verified arena == legacy (answers and "
-      "ticks)\n[perf] precedence speedup %.2fx (legacy %.1f ns/query, arena "
-      "%.1f ns/query)\n\n",
-      kN, pairs.size(), slow_s / fast_s, slow_s * per, fast_s * per);
+  std::printf("[perf] N=%zu: %zu query pairs verified engine == FM (plain "
+              "and metered)\n\n",
+              kN, pairs.size());
 }
 
 }  // namespace
 }  // namespace ct
 
 int main(int argc, char** argv) {
-  ct::verify_arena_exactness();
+  ct::verify_engine_exactness();
   auto args = ct::bench::gbench_args(argc, argv, "gbench_precedence");
   benchmark::Initialize(&args.argc, args.argv.data());
   // Which dispatch tier served this run (CT_KERNEL_TIER-overridable);

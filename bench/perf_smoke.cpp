@@ -2,8 +2,8 @@
 // the performance layer accelerates, gated against a checked-in baseline.
 //
 // Every gated metric is machine-independent by construction:
-//   * speedup_*  — same-binary, same-run ratios (legacy path time / fast
-//     path time), so the machine's absolute speed divides out. A >30%
+//   * speedup_*  — same-binary, same-run ratios (reference path time /
+//     fast path time), so the machine's absolute speed divides out. A >30%
 //     drop vs. the baseline ratio fails the run.
 //   * det_*      — deterministic counters (cluster counts, query answers,
 //     test counts, arena footprint); any deviation from the baseline fails
@@ -35,6 +35,7 @@
 #include "core/engine.hpp"
 #include "core/precedence_kernels.hpp"
 #include "monitor/queries.hpp"
+#include "timestamp/fm_store.hpp"
 #include "trace/generators.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -81,60 +82,51 @@ std::vector<std::pair<EventId, EventId>> query_pairs(const Trace& t,
   return pairs;
 }
 
-// ------------------------------------------------ precedence: arena A/B
+// ------------------------------------------------ precedence and frontier
 
 void smoke_precedence(const Trace& t) {
-  ClusterEngineConfig fast_cfg{.max_cluster_size = 13,
-                               .fm_vector_width = kProcesses};
-  ClusterEngineConfig slow_cfg = fast_cfg;
-  slow_cfg.use_arena = false;
-  ClusterTimestampEngine fast(t.process_count(), fast_cfg,
-                              make_merge_on_nth(10));
-  ClusterTimestampEngine slow(t.process_count(), slow_cfg,
-                              make_merge_on_nth(10));
-  fast.observe_trace(t);
-  slow.observe_trace(t);
+  const ClusterEngineConfig config{.max_cluster_size = 13,
+                                   .fm_vector_width = kProcesses};
+  ClusterTimestampEngine engine(t.process_count(), config,
+                                make_merge_on_nth(10));
+  engine.observe_trace(t);
+  const FmStore truth(t);
 
   const auto pairs = query_pairs(t, 1 << 15);
   std::size_t trues = 0;
   for (const auto& [e, f] : pairs) {
-    const bool a = fast.precedes(t.event(e), t.event(f));
-    const bool b = slow.precedes(t.event(e), t.event(f));
-    CT_CHECK_MSG(a == b, "arena/legacy disagree on " << e << " -> " << f);
+    const bool a = engine.precedes(t.event(e), t.event(f));
+    CT_CHECK_MSG(a == truth.precedes(e, f),
+                 "engine and FM disagree on " << e << " -> " << f);
     trues += a ? 1 : 0;
   }
 
-  // Pre-resolved records: the sweep times the precedence paths, not the
-  // trace's bounds-checked event lookups (identical for both variants).
+  // Pre-resolved records: the sweep times the precedence path, not the
+  // trace's bounds-checked event lookups.
   std::vector<std::pair<const Event*, const Event*>> records;
   records.reserve(pairs.size());
   for (const auto& [e, f] : pairs) {
     records.emplace_back(&t.event(e), &t.event(f));
   }
-  const auto sweep = [&](const ClusterTimestampEngine& engine) {
+  const double query_s = best_of(5, [&] {
     std::size_t hits = 0;
     for (const auto& [e, f] : records) {
       hits += engine.precedes(*e, *f) ? 1U : 0U;
     }
     g_sink = hits;
-  };
-  const double slow_s = best_of(5, [&] { sweep(slow); });
-  const double fast_s = best_of(5, [&] { sweep(fast); });
+  });
 
   const double per = 1e9 / static_cast<double>(pairs.size());
-  bench::json_metric("speedup_precedence_arena", slow_s / fast_s);
   bench::json_metric("det_precedence_true", static_cast<double>(trues));
   bench::json_metric("det_cluster_receives",
-                     static_cast<double>(fast.stats().cluster_receives));
+                     static_cast<double>(engine.stats().cluster_receives));
   bench::json_metric("det_arena_words",
-                     static_cast<double>(fast.arena_words()));
-  bench::json_metric("ns_per_query_legacy", slow_s * per);
-  bench::json_metric("ns_per_query_arena", fast_s * per);
-  std::printf("precedence: %zu pairs, arena speedup %.2fx (%.1f -> %.1f "
-              "ns/query)\n",
-              pairs.size(), slow_s / fast_s, slow_s * per, fast_s * per);
+                     static_cast<double>(engine.arena_words()));
+  bench::json_metric("ns_per_query_arena", query_s * per);
+  std::printf("precedence: %zu pairs verified against FM, %.1f ns/query\n",
+              pairs.size(), query_s * per);
 
-  // ------------------------------------------------ frontier: cursor A/B
+  // ----------------------------------- frontier: cursor vs per-pair tests
   Prng rng(3);
   const auto order = t.delivery_order();
   std::vector<EventId> probes;
@@ -142,67 +134,57 @@ void smoke_precedence(const Trace& t) {
     probes.push_back(order[rng.index(order.size())]);
   }
   const auto size_of = [&](ProcessId q) { return t.process_size(q); };
-  std::size_t tests = 0;
-  for (const EventId e : probes) {
-    const auto cur = fast.cursor(t.event(e));
-    const auto via_cursor = compute_frontiers_with(
+  const auto via_precedes = [&](EventId e) {
+    return compute_frontiers_with(
+        t.process_count(), e,
+        [&](EventId a, EventId b) {
+          return engine.precedes(t.event(a), t.event(b));
+        },
+        size_of);
+  };
+  const auto via_cursor = [&](EventId e) {
+    const auto cur = engine.cursor(t.event(e));
+    return compute_frontiers_with(
         t.process_count(), e,
         [&](EventId a, EventId b) {
           return a == e ? cur.anchor_precedes(t.event(b))
                         : cur.precedes_anchor(t.event(a));
         },
         size_of);
-    const auto via_legacy = compute_frontiers_with(
+  };
+  std::size_t tests = 0;
+  for (const EventId e : probes) {
+    const auto cursor = via_cursor(e);
+    const auto fm = compute_frontiers_with(
         t.process_count(), e,
-        [&](EventId a, EventId b) {
-          return slow.precedes(t.event(a), t.event(b));
-        },
-        size_of);
-    CT_CHECK_MSG(
-        via_cursor.greatest_predecessor == via_legacy.greatest_predecessor &&
-            via_cursor.greatest_concurrent == via_legacy.greatest_concurrent,
-        "frontiers diverge at probe " << e);
-    tests += via_cursor.precedence_tests;
+        [&](EventId a, EventId b) { return truth.precedes(a, b); }, size_of);
+    CT_CHECK_MSG(cursor.greatest_predecessor == fm.greatest_predecessor &&
+                     cursor.greatest_concurrent == fm.greatest_concurrent,
+                 "frontiers diverge at probe " << e);
+    tests += cursor.precedence_tests;
   }
 
-  const double slow_f = best_of(5, [&] {
-    std::size_t total = 0;
-    for (const EventId e : probes) {
-      total += compute_frontiers_with(
-                   t.process_count(), e,
-                   [&](EventId a, EventId b) {
-                     return slow.precedes(t.event(a), t.event(b));
-                   },
-                   size_of)
-                   .precedence_tests;
-    }
-    g_sink = total;
-  });
-  const double fast_f = best_of(5, [&] {
-    std::size_t total = 0;
-    for (const EventId e : probes) {
-      const auto cur = fast.cursor(t.event(e));
-      total += compute_frontiers_with(
-                   t.process_count(), e,
-                   [&](EventId a, EventId b) {
-                     return a == e ? cur.anchor_precedes(t.event(b))
-                                   : cur.precedes_anchor(t.event(a));
-                   },
-                   size_of)
-                   .precedence_tests;
-    }
-    g_sink = total;
-  });
+  const auto time_frontiers = [&](const auto& frontiers_of) {
+    return best_of(5, [&] {
+      std::size_t total = 0;
+      for (const EventId e : probes) {
+        total += frontiers_of(e).precedence_tests;
+      }
+      g_sink = total;
+    });
+  };
+  const double precedes_f = time_frontiers(via_precedes);
+  const double cursor_f = time_frontiers(via_cursor);
 
   const double perq = 1e6 / static_cast<double>(probes.size());
-  bench::json_metric("speedup_frontier_cursor", slow_f / fast_f);
+  bench::json_metric("speedup_frontier_cursor", precedes_f / cursor_f);
   bench::json_metric("det_frontier_tests", static_cast<double>(tests));
-  bench::json_metric("us_per_frontier_legacy", slow_f * perq);
-  bench::json_metric("us_per_frontier_cursor", fast_f * perq);
+  bench::json_metric("us_per_frontier_precedes", precedes_f * perq);
+  bench::json_metric("us_per_frontier_cursor", cursor_f * perq);
   std::printf("frontier:   %zu queries (%zu tests), cursor speedup %.2fx "
-              "(%.1f -> %.1f us/query)\n",
-              probes.size(), tests, slow_f / fast_f, slow_f * perq,
-              fast_f * perq);
+              "over per-pair precedes (%.1f -> %.1f us/query)\n",
+              probes.size(), tests, precedes_f / cursor_f, precedes_f * perq,
+              cursor_f * perq);
 }
 
 // ------------------------------------- batched precedence: dispatch tiers
@@ -550,10 +532,11 @@ int main(int argc, char** argv) {
   }
 
   ct::bench::header("perf_smoke", "perf-regression gate (docs/PERF.md)",
-                    "Reduced-size A/B runs of the arena precedence path, "
-                    "the frontier cursor, and the heap greedy clustering; "
-                    "gated on same-run speedup ratios and deterministic "
-                    "counters only.");
+                    "Reduced-size runs of the engine precedence path "
+                    "(checked against FM), the frontier cursor vs per-pair "
+                    "precedes, the batch kernels, and the heap greedy "
+                    "clustering; gated on same-run speedup ratios and "
+                    "deterministic counters only.");
 
   const ct::Trace t = ct::make_trace();
   std::printf("trace: %zu processes, %zu events\n", t.process_count(),

@@ -72,10 +72,9 @@ int cmd_info(const std::string& path) {
                 " covered sets\n",
                 m.pool_words, m.covered_set_count);
   }
-  std::printf("options        backend=%s nth=%g max-cluster=%zu arena=%d\n",
+  std::printf("options        backend=%s nth=%g max-cluster=%zu\n",
               backend_name(m.options.backend), m.options.nth_threshold,
-              m.options.cluster.max_cluster_size,
-              int{m.options.cluster.use_arena});
+              m.options.cluster.max_cluster_size);
   std::printf("state digest   %016" PRIx64 "\n", m.state_digest);
   std::printf("crc blocks     %" PRIu64 " bytes each\n", m.block_bytes);
   std::printf("footer         at byte %" PRIu64 " (%zu bytes)\n",

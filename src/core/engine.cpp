@@ -23,7 +23,6 @@ ClusterTimestampEngine::ClusterTimestampEngine(
       fm_(process_count),
       clusters_(process_count),
       policy_(std::move(policy)),
-      ts_(process_count),
       cluster_receives_(process_count) {
   CT_CHECK_MSG(policy_ != nullptr, "merge policy required");
   CT_CHECK_MSG(config_.max_cluster_size >= 1, "maxCS must be >= 1");
@@ -31,15 +30,11 @@ ClusterTimestampEngine::ClusterTimestampEngine(
                "fm_vector_width " << config_.fm_vector_width
                                   << " cannot encode " << process_count
                                   << " processes");
-  if (config_.use_arena) {
-    // Interning stays OFF: repair clones overwrite rows in place, and sync
-    // halves (identical vectors) would otherwise alias.
-    snap_.store(new ArenaSnapshot(process_count,
-                                  TsArena::Options{.intern = false}),
-                std::memory_order_release);
-    row_handles_.resize(process_count);
-    receive_rows_.resize(process_count);
-  }
+  // Interning stays OFF: repair clones overwrite rows in place, and sync
+  // halves (identical vectors) would otherwise alias.
+  snap_.store(new ArenaSnapshot(process_count,
+                                TsArena::Options{.intern = false}),
+              std::memory_order_release);
 }
 
 ClusterTimestampEngine::~ClusterTimestampEngine() {
@@ -63,7 +58,6 @@ ClusterTimestampEngine::ClusterTimestampEngine(
       fm_(process_count),
       clusters_(process_count, partition),
       policy_(std::move(policy)),
-      ts_(process_count),
       cluster_receives_(process_count) {
   CT_CHECK_MSG(policy_ != nullptr, "merge policy required");
   CT_CHECK_MSG(config_.max_cluster_size >= 1, "maxCS must be >= 1");
@@ -76,13 +70,25 @@ ClusterTimestampEngine::ClusterTimestampEngine(
                "partition has a cluster of "
                    << clusters_.max_cluster_size()
                    << " processes, larger than the encoding width " << width);
-  if (config_.use_arena) {
-    snap_.store(new ArenaSnapshot(process_count,
-                                  TsArena::Options{.intern = false}),
-                std::memory_order_release);
-    row_handles_.resize(process_count);
-    receive_rows_.resize(process_count);
+  snap_.store(new ArenaSnapshot(process_count,
+                                TsArena::Options{.intern = false}),
+              std::memory_order_release);
+}
+
+inline void ClusterTimestampEngine::check_operands(const ArenaSnapshot& snap,
+                                                   EventId e, EventId f) {
+  // f.index - 1 wraps for index 0, so one unsigned compare covers both ends.
+  const std::size_t processes = snap.row_refs.size();
+  if (f.process >= processes ||
+      std::size_t{f.index} - 1 >= snap.row_refs[f.process].size())
+      [[unlikely]] {
+    unobserved(f);
   }
+  if (e.process >= processes) [[unlikely]] unobserved(e);
+}
+
+void ClusterTimestampEngine::unobserved(EventId id) {
+  CT_CHECK_MSG(false, "event " << id << " has not been observed");
 }
 
 bool ClusterTimestampEngine::classify_cluster_receive(
@@ -115,7 +121,7 @@ std::uint32_t ClusterTimestampEngine::covered_set_id(
   if (inserted) {
     CoveredSet cs;
     cs.procs = covered;
-    cs.pos.assign(ts_.size(), -1);
+    cs.pos.assign(snap.row_refs.size(), -1);
     const auto& procs = *covered;
     for (std::size_t i = 0; i < procs.size(); ++i) {
       cs.pos[procs[i]] = static_cast<std::int32_t>(i);
@@ -130,7 +136,7 @@ std::uint32_t ClusterTimestampEngine::resolve_probe(
   const auto& receives = cluster_receives_[q];
   const std::size_t k =
       kernels::count_leq(receives.data(), receives.size(), bound);
-  return k == 0 ? kNoProbe : snap.arena.offset_of(receive_rows_[q][k - 1]);
+  return k == 0 ? kNoProbe : snap.row_refs[q][receives[k - 1] - 1].offset;
 }
 
 void ClusterTimestampEngine::refresh_probes(ArenaSnapshot& snap, EventId id) {
@@ -152,56 +158,7 @@ void ClusterTimestampEngine::publish_snapshot(
   util::EpochDomain::global().retire([old] { delete old; });
 }
 
-const ClusterTimestamp& ClusterTimestampEngine::store(const Event& e,
-                                                      ClusterTimestamp ts) {
-  auto& list = ts_[e.id.process];
-  CT_CHECK_MSG(list.size() + 1 == e.id.index,
-               "event " << e.id << " stored out of order");
-  ++events_;
-  if (ts.cluster_receive) {
-    ++cluster_receive_count_;
-    cluster_receives_[e.id.process].push_back(e.id.index);
-    encoded_words_ += config_.fm_vector_width;
-  } else {
-    const std::size_t width = encoded_projection_width(config_);
-    CT_CHECK_MSG(ts.values.size() <= width,
-                 "projection wider than the encoding width");
-    encoded_words_ += width;
-  }
-  exact_words_ += ts.values.size();
-
-  if (config_.use_arena) {
-    // Ingestion is the single-writer phase: appends go straight into the
-    // published snapshot (no readers may run concurrently with observe(),
-    // per the TsArena invalidation contract).
-    ArenaSnapshot& snap = *snap_.load(std::memory_order_relaxed);
-    const ProcessId p = e.id.process;
-    const TsArena::RowHandle h =
-        snap.arena.append(p, ts.values.data(), ts.values.size());
-    row_handles_[p].push_back(h);
-    RowRef ref{snap.arena.offset_of(h), kFullRowAux,
-               static_cast<std::uint32_t>(snap.probe_pool[p].size())};
-    if (ts.cluster_receive) {
-      receive_rows_[p].push_back(h);
-    } else {
-      ref.aux = covered_set_id(snap, ts.covered);
-      // Resolve the greatest-cluster-receive probe per covered slot NOW:
-      // the query-time binary search of the legacy path, paid once here
-      // (the resolved set is final — see resolve_probe).
-      const auto& procs = *ts.covered;
-      for (std::size_t i = 0; i < procs.size(); ++i) {
-        snap.probe_pool[p].push_back(
-            resolve_probe(snap, procs[i], ts.values[i]));
-      }
-    }
-    snap.row_refs[p].push_back(ref);
-  }
-
-  list.push_back(std::move(ts));
-  return list.back();
-}
-
-const ClusterTimestamp& ClusterTimestampEngine::observe(const Event& e) {
+void ClusterTimestampEngine::observe(const Event& e) {
   const FmClock& fm = fm_.observe(e);
   const ProcessId p = e.id.process;
 
@@ -229,162 +186,120 @@ const ClusterTimestamp& ClusterTimestampEngine::observe(const Event& e) {
       break;
   }
 
-  ClusterTimestamp ts;
-  ts.cluster_receive = is_cluster_receive;
+  // Ingestion is the single-writer phase: the row goes straight into the
+  // published snapshot (no readers may run concurrently with observe(),
+  // per the TsArena invalidation contract).
+  ArenaSnapshot& snap = *snap_.load(std::memory_order_relaxed);
+  CT_CHECK_MSG(snap.row_refs[p].size() + 1 == e.id.index,
+               "event " << e.id << " stored out of order");
+  ++events_;
+  RowRef ref{0, kFullRowAux,
+             static_cast<std::uint32_t>(snap.probe_pool[p].size())};
   if (is_cluster_receive) {
     // Full Fidge/Mattern vector; this event becomes the greatest cluster
     // receive of its process so far.
-    ts.values = fm;
+    ++cluster_receive_count_;
+    cluster_receives_[p].push_back(e.id.index);
+    encoded_words_ += config_.fm_vector_width;
+    exact_words_ += fm.size();
+    ref.offset =
+        snap.arena.offset_of(snap.arena.append(p, fm.data(), fm.size()));
   } else {
-    ts.covered = clusters_.members(clusters_.cluster_of(p));
-    ts.values.reserve(ts.covered->size());
-    for (const ProcessId q : *ts.covered) ts.values.push_back(fm[q]);
+    const auto covered = clusters_.members(clusters_.cluster_of(p));
+    const auto& procs = *covered;
+    const std::size_t width = encoded_projection_width(config_);
+    CT_CHECK_MSG(procs.size() <= width,
+                 "projection wider than the encoding width");
+    encoded_words_ += width;
+    exact_words_ += procs.size();
+    row_buf_.clear();
+    for (const ProcessId q : procs) row_buf_.push_back(fm[q]);
+    ref.offset = snap.arena.offset_of(
+        snap.arena.append(p, row_buf_.data(), row_buf_.size()));
+    ref.aux = covered_set_id(snap, covered);
+    // Resolve the greatest-cluster-receive probe per covered slot NOW,
+    // once (the resolved set is final — see resolve_probe).
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      snap.probe_pool[p].push_back(resolve_probe(snap, procs[i], row_buf_[i]));
+    }
   }
-  return store(e, std::move(ts));
+  snap.row_refs[p].push_back(ref);
 }
 
 void ClusterTimestampEngine::observe_trace(const Trace& trace) {
-  CT_CHECK_MSG(trace.process_count() == ts_.size(),
+  const std::size_t n_procs = fm_.process_count();
+  CT_CHECK_MSG(trace.process_count() == n_procs,
                "trace has " << trace.process_count()
-                            << " processes, engine built for " << ts_.size());
-  if (config_.use_arena) {
-    // Allocation-churn satellite: the trace knows its totals, so the mirror
-    // pool is sized once. Projections are bounded by maxCS, full vectors by
-    // the process count; the sum overshoots but caps at one allocation.
-    const std::size_t n = trace.delivery_order().size();
-    snap_.load(std::memory_order_relaxed)
-        ->arena.reserve(n,
-                        n * std::min(ts_.size(), config_.max_cluster_size) +
-                            trace.process_count());
-  }
+                            << " processes, engine built for " << n_procs);
+  // Allocation-churn satellite: the trace knows its totals, so the pool is
+  // sized once. Projections are bounded by maxCS, full vectors by the
+  // process count; the sum overshoots but caps at one allocation.
+  const std::size_t n = trace.delivery_order().size();
+  snap_.load(std::memory_order_relaxed)
+      ->arena.reserve(n, n * std::min(n_procs, config_.max_cluster_size) +
+                             n_procs);
   for (const EventId id : trace.delivery_order()) observe(trace.event(id));
 }
 
-const ClusterTimestamp& ClusterTimestampEngine::timestamp(EventId e) const {
-  CT_CHECK_MSG(e.process < ts_.size() && e.index >= 1 &&
-                   e.index <= ts_[e.process].size(),
-               "event " << e << " has not been observed");
-  return ts_[e.process][e.index - 1];
+ClusterTimestamp ClusterTimestampEngine::timestamp(EventId e) const {
+  const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
+  const ArenaSnapshot& snap = *snapshot();
+  check_operands(snap, e, e);
+  const RowRef& ref = snap.row_refs[e.process][e.index - 1];
+  ClusterTimestamp ts;
+  ts.cluster_receive = ref.aux == kFullRowAux;
+  if (!ts.cluster_receive) ts.covered = snap.covered_sets[ref.aux].procs;
+  const auto row =
+      snap.arena.values(snap.arena.handle_of(e.process, e.index - 1));
+  ts.values.assign(row.begin(), row.end());
+  return ts;
 }
 
 bool ClusterTimestampEngine::precedes(const Event& ev_e,
                                       const Event& ev_f) const {
-  if (config_.use_arena) return precedes_arena(ev_e, ev_f);
   QueryCost unlimited;
-  const auto answer = precedes_metered_legacy(ev_e, ev_f, unlimited);
+  const auto answer = precedes_metered(ev_e, ev_f, unlimited);
   comparisons_.fetch_add(unlimited.ticks, std::memory_order_relaxed);
   return *answer;
 }
 
-bool ClusterTimestampEngine::precedes_arena(const Event& ev_e,
-                                            const Event& ev_f) const {
+std::optional<bool> ClusterTimestampEngine::precedes_metered(
+    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
   const EventId e = ev_e.id;
   const EventId f = ev_f.id;
-  if (e == f) return false;
-  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-  CT_DCHECK(f.process < ts_.size() && f.index >= 1 &&
-            f.index <= ts_[f.process].size());
-
   // One snapshot load per query: every pointer below derives from it, so a
   // concurrent repair publishing a newer snapshot cannot mix states.
   const ArenaSnapshot& snap = *snapshot();
+  check_operands(snap, e, f);
+  if (e == f) return false;
+  // Sync partners carry identical vectors but are mutually concurrent.
+  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
+
   const RowRef& ref = snap.row_refs[f.process][f.index - 1];
   const EventIndex* pool = snap.arena.pool_data();
   const EventIndex* row = pool + ref.offset;
 
-  comparisons_.fetch_add(1, std::memory_order_relaxed);
+  // Direct test: FM(e)[p_e] is e's own index; exact whenever f's row covers
+  // e's process (same cluster, or f is a full cluster receive). One tick.
+  if (!cost.charge(1)) return std::nullopt;
   if (ref.aux == kFullRowAux) return e.index <= row[e.process];
   const CoveredSet& cs = snap.covered_sets[ref.aux];
   if (const std::int32_t slot = cs.pos[e.process]; slot >= 0) {
     return e.index <= row[static_cast<std::size_t>(slot)];
   }
 
+  // e's process is outside covered(f): any causal path from e into f's
+  // cluster must enter through a non-merged cluster receive. Each covered
+  // slot's probe is the greatest cluster receive f has seen there; one tick
+  // per probe read.
   const std::uint32_t* probes =
       snap.probe_pool[f.process].data() + ref.probe_off;
   const std::size_t width = cs.procs->size();
   for (std::size_t i = 0; i < width; ++i) {
     const std::uint32_t off = probes[i];
     if (off == kNoProbe) continue;  // no cluster receive seen yet
-    comparisons_.fetch_add(1, std::memory_order_relaxed);
-    if (e.index <= pool[off + e.process]) return true;
-  }
-  return false;
-}
-
-std::optional<bool> ClusterTimestampEngine::precedes_metered(
-    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
-  if (config_.use_arena) return precedes_metered_arena(ev_e, ev_f, cost);
-  return precedes_metered_legacy(ev_e, ev_f, cost);
-}
-
-std::optional<bool> ClusterTimestampEngine::precedes_metered_arena(
-    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
-  const EventId e = ev_e.id;
-  const EventId f = ev_f.id;
-  if (e == f) return false;
-  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-  CT_CHECK_MSG(f.process < ts_.size() && f.index >= 1 &&
-                   f.index <= ts_[f.process].size(),
-               "event " << f << " has not been observed");
-
-  const ArenaSnapshot& snap = *snapshot();
-  const RowRef& ref = snap.row_refs[f.process][f.index - 1];
-  const EventIndex* pool = snap.arena.pool_data();
-  const EventIndex* row = pool + ref.offset;
-
-  // Tick accounting mirrors the legacy path exactly: one charge for the
-  // direct test, one per greatest-cluster-receive probe.
-  if (!cost.charge(1)) return std::nullopt;
-  if (ref.aux == kFullRowAux) return e.index <= row[e.process];
-  const CoveredSet& cs = snap.covered_sets[ref.aux];
-  if (const std::int32_t slot = cs.pos[e.process]; slot >= 0) {
-    return e.index <= row[static_cast<std::size_t>(slot)];
-  }
-
-  const std::uint32_t* probes =
-      snap.probe_pool[f.process].data() + ref.probe_off;
-  const std::size_t width = cs.procs->size();
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::uint32_t off = probes[i];
-    if (off == kNoProbe) continue;
     if (!cost.charge(1)) return std::nullopt;
     if (e.index <= pool[off + e.process]) return true;
-  }
-  return false;
-}
-
-std::optional<bool> ClusterTimestampEngine::precedes_metered_legacy(
-    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
-  const EventId e = ev_e.id;
-  const EventId f = ev_f.id;
-  if (e == f) return false;
-  // Sync partners carry identical vectors but are mutually concurrent.
-  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-
-  const ClusterTimestamp& tf = timestamp(f);
-
-  // Direct test: FM(e)[p_e] is e's own index; exact whenever f's timestamp
-  // covers e's process (same cluster, or f is a full cluster receive).
-  if (!cost.charge(1)) return std::nullopt;
-  if (const auto comp = tf.component(e.process)) return e.index <= *comp;
-
-  // e's process is outside covered(f): any causal path from e into f's
-  // cluster must enter through a non-merged cluster receive. For each
-  // covered process q, test against the greatest cluster receive of q that
-  // f has seen (index ≤ TS(f)[q]).
-  const auto& covered = *tf.covered;
-  for (std::size_t i = 0; i < covered.size(); ++i) {
-    const ProcessId q = covered[i];
-    const EventIndex bound = tf.values[i];
-    const auto& receives = cluster_receives_[q];
-    const auto it =
-        std::upper_bound(receives.begin(), receives.end(), bound);
-    if (it == receives.begin()) continue;  // no cluster receive seen yet
-    const EventIndex r_index = *(it - 1);
-    const ClusterTimestamp& tr = ts_[q][r_index - 1];
-    CT_DCHECK(tr.is_full());
-    if (!cost.charge(1)) return std::nullopt;
-    if (e.index <= tr.values[e.process]) return true;
   }
   return false;
 }
@@ -396,7 +311,7 @@ std::size_t ClusterTimestampEngine::precedes_batch_metered(
   // mid-batch budget exhaustion), so budget-limited calls take the
   // sequential loop — which is also the tick-accounting oracle the fast
   // path must match: answers AND ticks are bit-identical by construction.
-  if (!config_.use_arena || cost.budget != 0) {
+  if (cost.budget != 0) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const auto answer = precedes_metered(*pairs[i].first, *pairs[i].second,
                                            cost);
@@ -428,13 +343,11 @@ std::size_t ClusterTimestampEngine::precedes_batch_metered(
     const Event& ev_f = *pairs[i].second;
     const EventId e = ev_e.id;
     const EventId f = ev_f.id;
+    check_operands(snap, e, f);
     if (e == f || (ev_e.kind == EventKind::kSync && ev_e.partner == f)) {
       out[i] = false;  // decided before any charge, like the scalar path
       continue;
     }
-    CT_CHECK_MSG(f.process < ts_.size() && f.index >= 1 &&
-                     f.index <= ts_[f.process].size(),
-                 "event " << f << " has not been observed");
     const RowRef& ref = snap.row_refs[f.process][f.index - 1];
     const EventIndex* row = pool + ref.offset;
     ++ticks;  // the direct test
@@ -483,17 +396,13 @@ ClusterTimestampEngine::PrecedenceCursor::PrecedenceCursor(
       guard_(util::EpochDomain::global().pin()),
       anchor_(anchor.id),
       anchor_partner_(kNoEvent) {
-  CT_CHECK_MSG(engine_.config_.use_arena,
-               "PrecedenceCursor requires config.use_arena");
-  CT_CHECK_MSG(anchor_.process < engine_.ts_.size() && anchor_.index >= 1 &&
-                   anchor_.index <= engine_.ts_[anchor_.process].size(),
-               "event " << anchor_ << " has not been observed");
-  if (anchor.kind == EventKind::kSync) anchor_partner_ = anchor.partner;
-
   // The epoch pin (taken above, before this load) keeps this snapshot —
   // and every raw pointer resolved from it — alive for the cursor's whole
   // lifetime, even if a repair publishes a newer one.
   snap_ = engine_.snapshot();
+  check_operands(*snap_, anchor_, anchor_);
+  if (anchor.kind == EventKind::kSync) anchor_partner_ = anchor.partner;
+
   const EventIndex* pool = snap_->arena.pool_data();
   const RowRef& ref = snap_->row_refs[anchor_.process][anchor_.index - 1];
   row_ = pool + ref.offset;
@@ -515,6 +424,7 @@ ClusterTimestampEngine::PrecedenceCursor::PrecedenceCursor(
 bool ClusterTimestampEngine::PrecedenceCursor::anchor_precedes(
     const Event& ev_x) const {
   const EventId x = ev_x.id;
+  check_operands(*snap_, anchor_, x);
   if (x == anchor_) return false;
   if (x == anchor_partner_) return false;  // sync halves are concurrent
 
@@ -544,6 +454,7 @@ bool ClusterTimestampEngine::PrecedenceCursor::anchor_precedes(
 bool ClusterTimestampEngine::PrecedenceCursor::precedes_anchor(
     const Event& ev_x) const {
   const EventId x = ev_x.id;
+  check_operands(*snap_, x, anchor_);
   if (x == anchor_) return false;
   if (ev_x.kind == EventKind::kSync && ev_x.partner == anchor_) return false;
 
@@ -573,6 +484,7 @@ void ClusterTimestampEngine::PrecedenceCursor::anchor_precedes_batch(
 
   for (std::size_t i = 0; i < n; ++i) {
     const EventId x = xs[i]->id;
+    check_operands(*snap_, anchor_, x);
     if (x == anchor_ || x == anchor_partner_) {
       out[i] = 0;
       continue;
@@ -630,6 +542,7 @@ void ClusterTimestampEngine::PrecedenceCursor::precedes_anchor_batch(
   for (std::size_t i = 0; i < n; ++i) {
     const Event& ev_x = *xs[i];
     const EventId x = ev_x.id;
+    check_operands(*snap_, x, anchor_);
     if (x == anchor_ ||
         (ev_x.kind == EventKind::kSync && ev_x.partner == anchor_)) {
       out[i] = 0;
@@ -675,7 +588,7 @@ ClusterTimestampEngine::PrecedenceCursor ClusterTimestampEngine::cursor(
 
 ClusterEngineStats ClusterTimestampEngine::stats() const {
   ClusterEngineStats s;
-  s.process_count = ts_.size();
+  s.process_count = fm_.process_count();
   s.events = events_;
   s.cluster_receives = cluster_receive_count_;
   s.merges = merges_;
@@ -693,13 +606,17 @@ std::uint64_t ClusterTimestampEngine::cluster_digest(ClusterId c) const {
   // each step (h ^ v) * kPrime is a bijection of h (kPrime is odd), so a
   // changed stored value always changes the result.
   const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kPrime; };
+  const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
+  const ArenaSnapshot& snap = *snapshot();
   for (const ProcessId p : *clusters_.members(c)) {
+    const auto& refs = snap.row_refs[p];
     mix(p);
-    mix(ts_[p].size());
-    for (const ClusterTimestamp& ts : ts_[p]) {
-      mix(ts.cluster_receive ? 1 : 0);
-      mix(ts.values.size());
-      for (const EventIndex v : ts.values) mix(v);
+    mix(refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      const auto row = snap.arena.values(snap.arena.handle_of(p, i));
+      mix(refs[i].aux == kFullRowAux ? 1 : 0);  // the cluster-receive flag
+      mix(row.size());
+      for (const EventIndex v : row) mix(v);
     }
   }
   return h;
@@ -707,34 +624,27 @@ std::uint64_t ClusterTimestampEngine::cluster_digest(ClusterId c) const {
 
 void ClusterTimestampEngine::inject_corruption(EventId e, std::size_t slot,
                                                EventIndex value) {
-  CT_CHECK_MSG(e.process < ts_.size() && e.index >= 1 &&
-                   e.index <= ts_[e.process].size(),
-               "event " << e << " has not been observed");
-  auto& values = ts_[e.process][e.index - 1].values;
-  CT_CHECK_MSG(!values.empty(), "timestamp of " << e << " has no components");
-  values[slot % values.size()] = value;
-  if (config_.use_arena) {
-    // The fast path must observe the corrupted value too, or the A/B flag
-    // would change the failure-detection behaviour under audit. A mutated
-    // projection component also shifts its greatest-cluster-receive bound,
-    // which the legacy path re-searches per query — follow it. The mutation
-    // happens on a writer-private clone published with one atomic swap, so
-    // in-flight readers keep a coherent (pre-corruption) snapshot.
-    std::lock_guard<std::mutex> writer(snap_writer_mu_);
-    auto next = std::make_unique<ArenaSnapshot>(
-        *snap_.load(std::memory_order_acquire));
-    next->arena.overwrite_component(row_handles_[e.process][e.index - 1],
-                                    slot % values.size(), value);
-    refresh_probes(*next, e);
-    publish_snapshot(std::move(next));
-  }
+  // A mutated projection component also shifts its greatest-cluster-receive
+  // bound, so the row's probes follow it. The mutation happens on a
+  // writer-private clone published with one atomic swap, so in-flight
+  // readers keep a coherent (pre-corruption) snapshot.
+  std::lock_guard<std::mutex> writer(snap_writer_mu_);
+  const ArenaSnapshot& current = *snap_.load(std::memory_order_acquire);
+  check_operands(current, e, e);
+  auto next = std::make_unique<ArenaSnapshot>(current);
+  const TsArena::RowHandle h = next->arena.handle_of(e.process, e.index - 1);
+  const std::uint32_t width = next->arena.width(h);
+  CT_CHECK_MSG(width != 0, "timestamp of " << e << " has no components");
+  next->arena.overwrite_component(h, slot % width, value);
+  refresh_probes(*next, e);
+  publish_snapshot(std::move(next));
 }
 
 std::uint64_t ClusterTimestampEngine::rebuild_cluster(
     ClusterId c, std::span<const EventId> log,
     const std::function<const Event&(EventId)>& event_of) {
   const auto members = clusters_.members(c);
-  std::vector<bool> in_cluster(ts_.size(), false);
+  std::vector<bool> in_cluster(fm_.process_count(), false);
   for (const ProcessId p : *members) in_cluster[p] = true;
 
   // One clone for the whole repair: every row rewrite and probe refresh
@@ -742,52 +652,45 @@ std::uint64_t ClusterTimestampEngine::rebuild_cluster(
   // the repaired state. Readers never see a half-rebuilt cluster and are
   // never blocked — the old snapshot stays valid until its grace period
   // ends (util/epoch.hpp).
-  std::unique_lock<std::mutex> writer(snap_writer_mu_, std::defer_lock);
-  std::unique_ptr<ArenaSnapshot> next;
-  if (config_.use_arena) {
-    writer.lock();
-    next = std::make_unique<ArenaSnapshot>(
-        *snap_.load(std::memory_order_acquire));
-  }
+  std::lock_guard<std::mutex> writer(snap_writer_mu_);
+  auto next = std::make_unique<ArenaSnapshot>(
+      *snap_.load(std::memory_order_acquire));
 
-  FmEngine scratch(ts_.size());
+  FmEngine scratch(fm_.process_count());
+  std::vector<EventIndex> values;
   std::uint64_t elements_written = 0;
   for (const EventId id : log) {
     const Event& e = event_of(id);
     const FmClock& fm = scratch.observe(e);
     if (!in_cluster[e.id.process]) continue;
-    ClusterTimestamp& ts = ts_[e.id.process][e.id.index - 1];
-    if (ts.is_full()) {
-      ts.values.assign(fm.begin(), fm.end());
+    const RowRef& ref = next->row_refs[id.process][id.index - 1];
+    if (ref.aux == kFullRowAux) {
+      values.assign(fm.begin(), fm.end());
     } else {
       // Historical covered set: projection shape is part of the retained
       // structure, only the component values are restored.
-      const auto& procs = *ts.covered;
-      ts.values.resize(procs.size());
+      const auto& procs = *next->covered_sets[ref.aux].procs;
+      values.resize(procs.size());
       for (std::size_t i = 0; i < procs.size(); ++i) {
-        ts.values[i] = fm[procs[i]];
+        values[i] = fm[procs[i]];
       }
     }
-    if (next) {
-      next->arena.overwrite_row(row_handles_[e.id.process][e.id.index - 1],
-                                ts.values.data(), ts.values.size());
-      refresh_probes(*next, e.id);
-    }
-    elements_written += ts.values.size();
+    next->arena.overwrite_row(next->arena.handle_of(id.process, id.index - 1),
+                              values.data(), values.size());
+    refresh_probes(*next, id);
+    elements_written += values.size();
   }
-  if (next) publish_snapshot(std::move(next));
+  publish_snapshot(std::move(next));
   return elements_written;
 }
 
 std::size_t ClusterTimestampEngine::arena_words() const {
-  const ArenaSnapshot* snap = snapshot();
-  return snap != nullptr ? snap->arena.pool_words() : 0;
+  return snapshot()->arena.pool_words();
 }
 
 void ClusterTimestampEngine::export_arena(ArenaExportSink& sink) const {
   static_assert(kExportFullRow == kFullRowAux &&
                 kExportNoProbe == kNoProbe);
-  CT_CHECK_MSG(config_.use_arena, "export_arena requires arena mode");
   const ArenaSnapshot& snap = *snapshot();
   sink.pool(snap.arena.pool_data(), snap.arena.pool_words());
   for (std::size_t id = 0; id < snap.covered_sets.size(); ++id) {
@@ -798,7 +701,7 @@ void ClusterTimestampEngine::export_arena(ArenaExportSink& sink) const {
     for (std::size_t i = 0; i < snap.row_refs[p].size(); ++i) {
       const RowRef& ref = snap.row_refs[p][i];
       sink.row(p, ref.offset, ref.aux, ref.probe_off,
-               snap.arena.width(row_handles_[p][i]));
+               snap.arena.width(snap.arena.handle_of(p, i)));
     }
     sink.probes(p, snap.probe_pool[p].data(), snap.probe_pool[p].size());
   }

@@ -26,28 +26,27 @@
 // path entering covered(f) from outside must pass through a non-merged
 // cluster receive (whose full vector the engine retained).
 //
-// Performance layer (docs/PERF.md): with config.use_arena (the default) the
-// engine mirrors every stored row into a flat TsArena and keeps a dense
-// process→position index per covered set, so the test above runs over
-// contiguous pools with O(1) component lookups (core/precedence_kernels.hpp)
-// instead of per-vector heap hops and binary searches. The mirror is an
-// acceleration structure only: ts_ remains the canonical store for digests,
-// corruption injection and rebuilds (which keep the mirror coherent), and
-// answers are bit-identical to the legacy path — asserted across all trace
-// families by tests/perf_layer_test.cpp and re-verified pair-for-pair inside
-// the gbench binaries.
+// The timestamp store (docs/PERF.md §2): every stored row lives once, in a
+// flat TsArena bundled with the indexes a query reads — a per-event RowRef,
+// a dense process→position table per interned covered set, and the
+// store-time-resolved greatest-cluster-receive probe of every projection
+// slot — so the test above runs over contiguous pools with O(1) component
+// lookups (core/precedence_kernels.hpp) instead of per-vector heap hops and
+// binary searches. timestamp() materializes a ClusterTimestamp from it by
+// value; digests, corruption injection and rebuilds read or rewrite it.
 //
-// Lock-free read publication: the arena mirror and every index a query
-// reads are bundled into one ArenaSnapshot behind an atomic pointer.
-// Ingestion appends to the current snapshot in place (single-writer phase;
-// serving and ingestion are mutually exclusive per the TsArena contract),
-// while the mutation hooks that run DURING serving — inject_corruption and
-// rebuild_cluster — deep-copy the snapshot, mutate the clone, publish it
-// with a single atomic swap, and retire the old snapshot to the global
-// epoch domain (util/epoch.hpp). Readers that pin an epoch (the broker, or
-// a PrecedenceCursor, which pins for its lifetime) keep their snapshot
-// alive until they unpin, so rebuilds never block queries and the hot read
-// path takes zero locks.
+// Lock-free read publication: that bundle is one ArenaSnapshot behind an
+// atomic pointer. Ingestion appends to the current snapshot in place
+// (single-writer phase; serving and ingestion are mutually exclusive per
+// the TsArena contract), while the mutation hooks that run DURING serving —
+// inject_corruption and rebuild_cluster — deep-copy the snapshot, mutate
+// the clone, publish it with a single atomic swap, and retire the old
+// snapshot to the global epoch domain (util/epoch.hpp). Every reader pins
+// util::EpochDomain::global() while it holds a snapshot: the broker pins
+// around precedes/precedes_metered/precedes_batch_metered for its callers,
+// while timestamp(), cluster_digest() and each PrecedenceCursor (for its
+// lifetime) pin themselves. Rebuilds never block queries and the read path
+// takes zero locks.
 #pragma once
 
 #include <atomic>
@@ -80,10 +79,6 @@ struct ClusterEngineConfig {
   /// Fixed encoding width of projections; 0 means max_cluster_size. Set
   /// explicitly for unbounded static partitions (k-means/k-medoid ablation).
   std::size_t encoded_cluster_width = 0;
-  /// Performance flag (A/B): mirror rows into a flat arena and answer
-  /// precedence through the word-parallel fast path. Trades one extra copy
-  /// of the stored components for contiguous reads; answers are identical.
-  bool use_arena = true;
 };
 
 struct ClusterEngineStats {
@@ -128,25 +123,29 @@ class ClusterTimestampEngine {
                          const std::vector<std::vector<ProcessId>>& partition,
                          std::unique_ptr<MergePolicy> policy);
 
-  /// Consumes the next event in delivery order; returns its timestamp
-  /// (stable reference — timestamps are retained in the store).
-  const ClusterTimestamp& observe(const Event& e);
+  /// Consumes the next event in delivery order and appends its row to the
+  /// store.
+  void observe(const Event& e);
 
   /// Convenience: observes an entire trace.
   void observe_trace(const Trace& trace);
 
-  /// Timestamp of a previously-observed event.
-  const ClusterTimestamp& timestamp(EventId e) const;
+  /// Timestamp of a previously-observed event, materialized from the
+  /// published snapshot by value (the contract FmStore::clock has). Pins
+  /// the global epoch domain itself, so it is safe against concurrent
+  /// repairs.
+  ClusterTimestamp timestamp(EventId e) const;
 
-  /// Precedence: did `e` happen before `f`? Both must have been observed.
-  /// `ev_e`/`ev_f` are the event records (needed for the sync-partner rule).
+  /// Precedence: did `e` happen before `f`? Both must have been observed
+  /// (a checked error otherwise). `ev_e`/`ev_f` are the event records
+  /// (needed for the sync-partner rule). Counts its component comparisons
+  /// into comparisons().
   bool precedes(const Event& ev_e, const Event& ev_f) const;
 
   /// Cost-instrumented precedence for the query broker: charges one tick per
   /// component comparison to `cost` and returns nullopt if the budget runs
   /// out mid-test. Unlike precedes(), touches no engine state, so concurrent
-  /// calls with distinct meters are safe on a quiescent engine. Tick
-  /// accounting is identical with and without the arena.
+  /// calls with distinct meters are safe on a quiescent engine.
   std::optional<bool> precedes_metered(const Event& ev_e, const Event& ev_f,
                                        QueryCost& cost) const;
 
@@ -165,11 +164,12 @@ class ClusterTimestampEngine {
   /// anchor's row, covered-set index, and — decisive for the x→anchor
   /// direction — the greatest cluster receive of every covered process
   /// ONCE; each test is then a handful of contiguous component reads.
-  /// Requires the arena flag; the cursor borrows the engine (no writes may
-  /// interleave with its use).
+  /// The cursor borrows the engine (no observe() may interleave with its
+  /// use) and pins the epoch domain for its lifetime.
   class PrecedenceCursor {
    public:
-    /// anchor → x. `ev_x` must have been observed.
+    /// anchor → x. `ev_x` must have been observed (a checked error
+    /// otherwise, here and in every call below).
     bool anchor_precedes(const Event& ev_x) const;
     /// x → anchor.
     bool precedes_anchor(const Event& ev_x) const;
@@ -204,7 +204,7 @@ class ClusterTimestampEngine {
     std::vector<const EventIndex*> receive_rows_;
   };
 
-  /// Builds a cursor anchored at `anchor` (arena mode only).
+  /// Builds a cursor anchored at `anchor`, which must have been observed.
   PrecedenceCursor cursor(const Event& anchor) const;
 
   // --- columnar export (src/store/) -------------------------------------
@@ -237,9 +237,6 @@ class ClusterTimestampEngine {
                         std::size_t count) = 0;
   };
 
-  /// True when export_arena may be called (arena mode on).
-  bool can_export_arena() const { return config_.use_arena; }
-
   /// Visits the published snapshot. Single-writer phase only: no observe()
   /// or repair may run concurrently.
   void export_arena(ArenaExportSink& sink) const;
@@ -262,13 +259,13 @@ class ClusterTimestampEngine {
   /// (an *online-auditable* slice of state_digest()). Any in-place mutation
   /// of a stored component or cluster-receive flag in that cluster changes
   /// the digest; the IntegrityAuditor compares against a trusted baseline.
-  /// In-memory only (no snapshot format stores it).
+  /// In-memory only (no snapshot format stores it). Reads the published
+  /// snapshot under its own epoch pin.
   std::uint64_t cluster_digest(ClusterId c) const;
 
   /// Fault-injection hook (tests/benches model in-memory state corruption —
   /// a flipped bit in the timestamp store): overwrites component
-  /// `slot % width` of e's stored timestamp, in the canonical store AND the
-  /// arena mirror (the queries must read the corrupted value either way).
+  /// `slot % width` of e's stored row on a snapshot clone and publishes it.
   /// Never used on a healthy path.
   void inject_corruption(EventId e, std::size_t slot, EventIndex value);
 
@@ -278,22 +275,15 @@ class ClusterTimestampEngine {
   /// through a scratch Fidge/Mattern engine. Structural state (membership,
   /// covered sets, cluster-receive positions) is re-derived per event from
   /// the retained shape, so a value-corrupted cluster is restored without
-  /// rebuilding the other clusters. The arena mirror is refreshed in the
-  /// same pass. Returns vector elements written (work ticks of the repair).
+  /// rebuilding the other clusters. The rows are rewritten on one snapshot
+  /// clone, published once. Returns vector elements written (work ticks of
+  /// the repair).
   std::uint64_t rebuild_cluster(
       ClusterId c, std::span<const EventId> log,
       const std::function<const Event&(EventId)>& event_of);
 
-  /// Arena mirror footprint in components (0 when the flag is off); the
-  /// space cost of the fast path, reported by the perf harness.
+  /// Store footprint in components, reported by the perf harness.
   std::size_t arena_words() const;
-
-  /// True when queries read only the epoch-published arena snapshot, i.e.
-  /// concurrent readers are safe against inject_corruption/rebuild_cluster
-  /// without any caller-side lock (they pin util::EpochDomain::global()
-  /// instead). False for legacy (use_arena=false) engines, whose queries
-  /// read the canonical store that rebuilds mutate in place.
-  bool lock_free_reads() const { return config_.use_arena; }
 
   ~ClusterTimestampEngine();
   ClusterTimestampEngine(const ClusterTimestampEngine&) = delete;
@@ -302,15 +292,15 @@ class ClusterTimestampEngine {
  private:
   /// RowRef::aux marker for rows holding a full Fidge/Mattern vector.
   static constexpr std::uint32_t kFullRowAux = 0xffff'ffffu;
-  /// probe_pool_ marker for "no cluster receive at or below the bound".
+  /// probe_pool marker for "no cluster receive at or below the bound".
   static constexpr std::uint32_t kNoProbe = 0xffff'ffffu;
 
-  /// Per-event arena descriptor, one 12-byte record instead of three
+  /// Per-event row descriptor, one 12-byte record instead of three
   /// parallel arrays: a query touches one cache line, not three.
   struct RowRef {
     std::uint32_t offset;     ///< row start in the arena pool
     std::uint32_t aux;        ///< covered-set id, or kFullRowAux
-    std::uint32_t probe_off;  ///< start of the row's probes in probe_pool_
+    std::uint32_t probe_off;  ///< start of the row's probes in probe_pool
   };
 
   /// Dense index of one interned covered set: pos[q] is q's slot in the
@@ -320,7 +310,15 @@ class ClusterTimestampEngine {
     std::vector<std::int32_t> pos;
   };
 
-  const ClusterTimestamp& store(const Event& e, ClusterTimestamp ts);
+  /// The one bounds check of every entry point, live in release builds:
+  /// throws CheckFailure unless `f` names an event `snap` stores and `e` a
+  /// process it has. (An unobserved `e` of a known process reads in bounds
+  /// and precedes nothing, as delivery order is causal.) Single-event entry
+  /// points pass their event as both operands.
+  static void check_operands(const ArenaSnapshot& snap, EventId e, EventId f);
+  /// check_operands' failure path, kept out of line.
+  [[noreturn, gnu::cold, gnu::noinline]] static void unobserved(EventId id);
+
   /// Handles classification + merge decision for a receive-like event whose
   /// partner process is `q`. Returns true if the event is a (non-merged)
   /// cluster receive.
@@ -334,19 +332,18 @@ class ClusterTimestampEngine {
   /// Greatest cluster receive of `q` with index <= bound, as an arena pool
   /// offset (kNoProbe if none). At store time the answer is final: delivery
   /// order respects causality, so every event of q at or below a stored
-  /// row's component has already been delivered. Handles are layout-stable
+  /// row's component has already been delivered. Offsets are layout-stable
   /// across snapshot clones, so any snapshot of this engine resolves them.
   std::uint32_t resolve_probe(const ArenaSnapshot& snap, ProcessId q,
                               EventIndex bound) const;
 
   /// Re-resolves the stored probe rows of a projection row whose component
-  /// values were mutated (corruption injection / rebuild) — the legacy path
-  /// re-searches per query, so the precomputed probes must follow the
-  /// mutated bounds to stay answer-identical. Operates on the given
-  /// (writer-private) snapshot.
+  /// values were mutated (corruption injection / rebuild): the probes must
+  /// follow the mutated bounds, exactly as a per-query search would.
+  /// Operates on the given (writer-private) snapshot.
   void refresh_probes(ArenaSnapshot& snap, EventId id);
 
-  /// The currently published snapshot (null when use_arena is off).
+  /// The currently published snapshot.
   const ArenaSnapshot* snapshot() const {
     return snap_.load(std::memory_order_acquire);
   }
@@ -355,30 +352,22 @@ class ClusterTimestampEngine {
   /// to the global epoch domain. Caller holds snap_writer_mu_.
   void publish_snapshot(std::unique_ptr<ArenaSnapshot> next);
 
-  bool precedes_arena(const Event& ev_e, const Event& ev_f) const;
-  std::optional<bool> precedes_metered_arena(const Event& ev_e,
-                                             const Event& ev_f,
-                                             QueryCost& cost) const;
-  std::optional<bool> precedes_metered_legacy(const Event& ev_e,
-                                              const Event& ev_f,
-                                              QueryCost& cost) const;
-
   ClusterEngineConfig config_;
   FmEngine fm_;
   ClusterSet clusters_;
   std::unique_ptr<MergePolicy> policy_;
 
-  std::vector<std::vector<ClusterTimestamp>> ts_;  // [process][index-1]
   /// Indices of non-merged cluster receives per process, ascending.
   std::vector<std::vector<EventIndex>> cluster_receives_;
   /// Sync halves whose pair decision was taken at the partner's observation.
   std::unordered_set<EventId> sync_decided_;
 
-  // --- arena acceleration (config_.use_arena) ---------------------------
-  /// Everything the fast-path queries read, bundled for atomic publication.
-  /// Ingestion appends in place (single-writer phase); serving-time repairs
-  /// clone-mutate-swap (see the header comment). Deep-copyable by design:
-  /// handles and pool offsets are layout-stable across clones.
+  // --- the timestamp store ----------------------------------------------
+  /// Everything stored and everything a query reads, bundled for atomic
+  /// publication. Ingestion appends in place (single-writer phase);
+  /// serving-time repairs clone-mutate-swap (see the header comment).
+  /// Deep-copyable by design: handles and pool offsets are layout-stable
+  /// across clones.
   struct ArenaSnapshot {
     ArenaSnapshot(std::size_t process_count, TsArena::Options options)
         : arena(process_count, options),
@@ -386,34 +375,30 @@ class ClusterTimestampEngine {
           probe_pool(process_count) {}
 
     TsArena arena;  // interning OFF: repair clones overwrite rows
-    /// Per event: its arena descriptor (pool offset, covered set, probes).
+    /// Per event: its row descriptor (pool offset, covered set, probes).
     std::vector<std::vector<RowRef>> row_refs;
     /// Store-time-resolved probe rows: for each projection row, the pool
     /// offset of the greatest cluster receive per covered slot (kNoProbe
-    /// where none) — the query-time binary searches of the legacy path,
-    /// paid once at ingestion. A row's probes start at RowRef::probe_off
-    /// and span the covered-set size (full rows own zero entries).
+    /// where none) — a per-query binary search paid once at ingestion. A
+    /// row's probes start at RowRef::probe_off and span the covered-set
+    /// size (full rows own zero entries).
     std::vector<std::vector<std::uint32_t>> probe_pool;
     /// Interned covered sets (dense indices; see covered_ids_).
     std::vector<CoveredSet> covered_sets;
   };
 
-  /// Published snapshot (owned; null when use_arena is off). Readers load
-  /// it once per query under an epoch pin; writers swap under
-  /// snap_writer_mu_ and retire the old snapshot to the epoch domain.
+  /// Published snapshot (owned). Readers load it once per query under an
+  /// epoch pin; writers swap under snap_writer_mu_ and retire the old
+  /// snapshot to the epoch domain.
   std::atomic<ArenaSnapshot*> snap_{nullptr};
   /// Serializes clone-and-swap mutators (the auditor already serializes
   /// repairs, but the engine enforces its own invariant locally).
   std::mutex snap_writer_mu_;
-  /// Per event: its arena row handle (writer-side mutation hooks only —
-  /// queries go through RowRef offsets).
-  std::vector<std::vector<TsArena::RowHandle>> row_handles_;
-  /// Arena rows of the non-merged cluster receives, parallel to
-  /// cluster_receives_ (writer-side: probe resolution input).
-  std::vector<std::vector<TsArena::RowHandle>> receive_rows_;
   /// Interned covered sets (by members-pointer identity) → dense index
   /// into ArenaSnapshot::covered_sets (writer-side).
   std::unordered_map<const void*, std::uint32_t> covered_ids_;
+  /// observe()'s projection buffer, reused across events.
+  std::vector<EventIndex> row_buf_;
 
   std::size_t events_ = 0;
   std::size_t cluster_receive_count_ = 0;

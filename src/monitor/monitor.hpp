@@ -150,14 +150,6 @@ class MonitoringEntity {
       std::span<const std::pair<EventId, EventId>> pairs, QueryCost& cost,
       std::optional<bool>* out) const;
 
-  /// True when concurrent precedence reads are safe against audit repairs
-  /// (rebuild_cluster / inject_timestamp_corruption) without caller-side
-  /// locking: FM clocks are immutable once delivered, and an arena-mode
-  /// cluster engine serves from an epoch-published snapshot (readers pin
-  /// util::EpochDomain::global(); see core/engine.hpp). Legacy
-  /// use_arena=false engines still require reader exclusion.
-  bool lock_free_reads() const;
-
   /// Timestamp storage in 32-bit words under §4's encoding conventions.
   std::uint64_t timestamp_words() const;
 
@@ -177,7 +169,8 @@ class MonitoringEntity {
   /// Cluster of process `p` (cluster backend only).
   std::optional<ClusterId> cluster_of(ProcessId p) const;
 
-  /// Auditable digest of one cluster's stored timestamps.
+  /// Auditable digest of one cluster's stored timestamps. Safe against
+  /// concurrent repairs: the engine pins the epoch domain itself.
   std::uint64_t cluster_digest(ClusterId c) const;
 
   /// cluster_digest of every current cluster, one pass (empty for FM).
@@ -226,8 +219,8 @@ class MonitoringEntity {
   // --- columnar snapshot hooks (src/store/) ----------------------------
 
   /// True when the active backend can export its arena for the CTC1
-  /// columnar snapshot store (cluster backend in arena mode).
-  bool can_export_arena() const;
+  /// columnar snapshot store (the cluster backend).
+  bool can_export_arena() const { return cluster_ != nullptr; }
 
   /// Visits the cluster engine's published arena snapshot (see
   /// core/engine.hpp). Requires can_export_arena(); single-writer phase.

@@ -101,8 +101,7 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
     : monitor_(monitor),
       pool_(pool),
       options_(std::move(options)),
-      frozen_(std::move(frozen)),
-      lock_free_reads_(monitor.lock_free_reads()) {
+      frozen_(std::move(frozen)) {
   CT_CHECK_MSG(frozen_ != nullptr, "broker needs a frozen delivered state");
   // Fallback answers come from the frozen state, so it must hold exactly
   // the events the monitor has delivered.
@@ -123,16 +122,12 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
   CT_CHECK_MSG(!options_.chain.empty(), "broker chain must not be empty");
 
   BackendContext ctx = trace_context(trace, options_);
-  // The kCluster link serves from the monitor under this broker's locking
-  // discipline: readers pin the epoch domain (default) or hold cluster_mu_
-  // shared (legacy engines), exactly as the pre-registry chain did.
+  // The kCluster link serves from the monitor under an epoch pin: the
+  // engine's repairs publish new snapshots and retire the old ones, so a
+  // pinned reader never blocks them and never sees a reclaimed snapshot.
   ctx.monitor_precedes = [this](EventId e, EventId f,
                                 QueryCost& cost) -> std::optional<bool> {
-    if (lock_free_reads_) {
-      const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
-      return monitor_.precedes_metered(e, f, cost);
-    }
-    std::shared_lock reader(cluster_mu_);
+    const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
     return monitor_.precedes_metered(e, f, cost);
   };
 
@@ -387,7 +382,7 @@ QueryResult QueryBroker::execute(const Job& job) {
       std::size_t start = 0;
       // Bulk fast path: with no answer cache and a healthy cluster link at
       // the FRONT of the chain, the whole batch runs through the monitor's
-      // kernel-backed batch entry under ONE reader lock — tick accounting
+      // kernel-backed batch entry under ONE epoch pin — tick accounting
       // and answers are identical to the per-pair chain below (which, with
       // the cache off, is exactly "cluster backend per pair"). Any
       // mid-batch backend failure falls back to the chain from the failing
@@ -397,16 +392,8 @@ QueryResult QueryBroker::execute(const Job& job) {
         std::size_t done = 0;
         bool bulk_failed = false;
         {
-          // Default path: pin the epoch once for the whole batch (zero
-          // locks); legacy engines still take the reader lock.
-          util::EpochDomain::Guard pin;
-          std::shared_lock<std::shared_mutex> reader(cluster_mu_,
-                                                     std::defer_lock);
-          if (lock_free_reads_) {
-            pin = util::EpochDomain::global().pin();
-          } else {
-            reader.lock();
-          }
+          const util::EpochDomain::Guard pin =
+              util::EpochDomain::global().pin();
           try {
             done = monitor_.precedes_batch_metered(job.pairs, cost,
                                                    result.batch.data());
@@ -537,9 +524,13 @@ void QueryBroker::note_failure(std::size_t slot) {
 
 bool QueryBroker::audit_step() {
   std::lock_guard audit_lock(audit_mu_);
-  // Detection reads cluster state; repairs are excluded by audit_mu_ and
-  // query readers only ever read, so no cluster_mu_ is needed here.
-  const AuditFinding finding = auditor_->step();
+  // Detection reads published snapshots under an epoch pin (a corruption
+  // injected meanwhile retires the one it reads, never frees it); repairs
+  // are excluded by audit_mu_.
+  const AuditFinding finding = [this] {
+    const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
+    return auditor_->step();
+  }();
   {
     std::lock_guard lock(mu_);
     ++health_.audit_steps;
@@ -572,17 +563,10 @@ bool QueryBroker::audit_step() {
   // Answers cached before the trip may be poisoned; drop them all.
   if (answer_cache_) answer_cache_->clear();
   for (const ClusterId c : finding.corrupted) {
-    std::uint64_t ticks = 0;
-    {
-      // Default path: the engine rebuilds a writer-private snapshot and
-      // publishes it with one atomic swap — in-flight readers keep the
-      // pre-repair snapshot and are never blocked. Legacy engines rewrite
-      // the store in place and still need reader exclusion.
-      std::unique_lock<std::shared_mutex> writer(cluster_mu_,
-                                                 std::defer_lock);
-      if (!lock_free_reads_) writer.lock();
-      ticks = monitor_.rebuild_cluster(c);
-    }
+    // The engine rebuilds a writer-private snapshot and publishes it with
+    // one atomic swap — in-flight readers keep the pre-repair snapshot and
+    // are never blocked.
+    const std::uint64_t ticks = monitor_.rebuild_cluster(c);
     auditor_->rebaseline(c);
     std::lock_guard lock(mu_);
     ++health_.rebuilds;

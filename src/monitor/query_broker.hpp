@@ -47,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -316,8 +315,8 @@ class QueryBroker {
 
   std::shared_ptr<const FrozenDelivery> frozen_;
   /// The fallback links in options_.chain order. The kCluster link reaches
-  /// the monitor through a hook that carries this broker's locking
-  /// discipline (epoch pin / cluster_mu_); full-replay links alias
+  /// the monitor through a hook that pins the global epoch domain around
+  /// each read (the only read discipline); full-replay links alias
   /// frozen_'s shared ones; the rest are this broker's own, built over
   /// frozen_'s trace.
   std::vector<std::shared_ptr<CausalityBackend>> chain_;
@@ -328,16 +327,6 @@ class QueryBroker {
       answer_cache_;
   std::unique_ptr<IntegrityAuditor> auditor_;
 
-  /// True when the monitor's cluster reads are safe against audit repairs
-  /// without locking (epoch-published engine snapshots / immutable FM
-  /// clocks — see MonitoringEntity::lock_free_reads). On this DEFAULT path
-  /// readers pin util::EpochDomain::global() instead of cluster_mu_, so a
-  /// rebuild storm never blocks a query and queries never delay repairs.
-  const bool lock_free_reads_;
-  /// Legacy fallback (use_arena=false engines only): readers of the
-  /// monitor's (repairable) cluster state hold it shared; audit-triggered
-  /// rebuilds hold it exclusively. Never taken when lock_free_reads_.
-  std::shared_mutex cluster_mu_;
   /// Serializes audit steps (the auditor is single-threaded).
   mutable std::mutex audit_mu_;
 

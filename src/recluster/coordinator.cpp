@@ -55,7 +55,7 @@ std::optional<EventId> MigrationCoordinator::corrupt_shadow(
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
     if (it->index < 2) continue;
     const EventId victim = *it;
-    const ClusterTimestamp& ts = shadow.timestamp(victim);
+    const ClusterTimestamp ts = shadow.timestamp(victim);
     std::size_t slot = victim.process;  // full vector: indexed by process
     if (!ts.is_full()) {
       const auto& procs = *ts.covered;

@@ -27,7 +27,6 @@ MonitorOptions schedule_options(const SimSchedule& schedule) {
   mo.backend = TimestampBackend::kClusterDynamic;
   mo.cluster.max_cluster_size = schedule.max_cluster_size;
   mo.cluster.fm_vector_width = schedule.process_count;
-  mo.cluster.use_arena = schedule.use_arena;
   mo.nth_threshold = schedule.nth_threshold;
   return mo;
 }

@@ -159,7 +159,10 @@ SimSchedule generate_schedule(std::uint64_t seed,
   s.max_cluster_size = static_cast<std::uint32_t>(rng.pick<std::uint64_t>(
       std::vector<std::uint64_t>{4, 8, 16}));
   s.nth_threshold = rng.pick(std::vector<double>{-1.0, 2.0, 6.0});
-  s.use_arena = rng.chance(0.5);
+  // The engine's removed storage-layout switch was drawn here. Drawing and
+  // discarding the bit keeps every later draw — and so every seeded
+  // schedule, op for op — identical to the schedules earlier sweeps ran.
+  (void)rng.chance(0.5);
 
   // ---- compose the base computation from 1..max_segments motifs ----------
   const std::size_t max_segs = std::min<std::size_t>(

@@ -24,8 +24,7 @@ void save_replay(std::ostream& out, const SimSchedule& schedule) {
   out << "processes " << schedule.process_count << '\n';
   out << "engine maxcs=" << schedule.max_cluster_size << " nth="
       << std::setprecision(std::numeric_limits<double>::max_digits10)
-      << schedule.nth_threshold << " arena=" << (schedule.use_arena ? 1 : 0)
-      << '\n';
+      << schedule.nth_threshold << '\n';
   for (const SimOp& op : schedule.ops) {
     switch (op.kind) {
       case SimOp::Kind::kEmit:
@@ -87,9 +86,11 @@ SimSchedule load_replay(std::istream& in) {
         } else if (key == "nth") {
           vs >> s.nth_threshold;
         } else if (key == "arena") {
+          // The removed storage-layout switch: older replays still carry
+          // it, and every layout now replays on the one store.
           int flag = 0;
           vs >> flag;
-          s.use_arena = flag != 0;
+          CT_CHECK_MSG(flag == 0 || flag == 1, "bad engine value: " << field);
         } else {
           CT_CHECK_MSG(false, "unknown engine field: " << key);
         }

@@ -11,7 +11,7 @@
 //   name <token>
 //   seed <u64>
 //   processes <u32>
-//   engine maxcs=<u32> nth=<double> arena=<0|1>
+//   engine maxcs=<u32> nth=<double>
 //   e <proc> <idx> <kind> <partner-proc> <partner-idx>   (one emit)
 //   k                                                    (checkpoint/restore)
 //   b <a>                                                (rebuild)
@@ -21,6 +21,8 @@
 // Emits are stored verbatim — including corrupted records whose fields are
 // arbitrary 32-bit values — so loading reproduces the channel byte stream
 // exactly. The nth threshold round-trips through max_digits10 formatting.
+// Older files may also carry `arena=<0|1>` on the engine line; it is
+// accepted and ignored.
 #pragma once
 
 #include <iosfwd>

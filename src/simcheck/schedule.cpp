@@ -39,7 +39,6 @@ std::uint64_t SimSchedule::digest() const {
   mix(h, process_count);
   mix(h, max_cluster_size);
   mix(h, std::bit_cast<std::uint64_t>(nth_threshold));
-  mix(h, use_arena ? 1 : 0);
   mix(h, ops.size());
   for (const SimOp& op : ops) {
     mix(h, static_cast<std::uint64_t>(op.kind));

@@ -79,7 +79,6 @@ struct SimSchedule {
   /// Engine configuration of the live monitor under test.
   std::uint32_t max_cluster_size = 8;
   double nth_threshold = 4.0;
-  bool use_arena = true;
 
   std::vector<SimOp> ops;
 

@@ -96,7 +96,7 @@ struct ColumnInfo {
 struct ColumnarManifest {
   std::uint8_t version = kColumnarVersion;
   /// False for monitors whose backend cannot export an arena (precomputed
-  /// FM, or use_arena off): the file carries only the event columns and
+  /// FM): the file carries only the event columns and
   /// serves the replay rungs, not the mapped read path.
   bool has_arena = false;
   std::uint64_t generation = 0;

@@ -84,9 +84,9 @@ class CausalityBackend {
 
 /// Everything a factory may need. `trace` is the frozen delivered prefix
 /// every fallback backend is built over. `monitor_precedes` is the
-/// type-erased kCluster hook: the broker bakes its locking discipline
-/// (epoch pin or reader lock) into it; required by the kCluster factory
-/// and ignored by the rest.
+/// type-erased kCluster hook: the broker bakes its read discipline (an
+/// epoch pin) into it; required by the kCluster factory and ignored by the
+/// rest.
 struct BackendContext {
   const Trace* trace = nullptr;
   std::size_t differential_interval = 16;

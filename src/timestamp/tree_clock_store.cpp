@@ -28,27 +28,13 @@ struct EventIdHash {
 
 }  // namespace
 
-TreeClockStore::TreeClockStore(const Trace& trace)
-    : TreeClockStore(trace, true) {}
-
-TreeClockStore::TreeClockStore(const Trace& trace, bool use_arena)
-    : TreeClockStore(trace, use_arena, EventHook{}) {}
-
-TreeClockStore::TreeClockStore(const Trace& trace, bool use_arena,
-                               const EventHook& hook)
-    : trace_(trace) {
+TreeClockStore::TreeClockStore(const Trace& trace, const EventHook& hook)
+    : trace_(trace),
+      arena_(trace.process_count(), TsArena::Options{.intern = true}) {
   const std::size_t width = trace.process_count();
   CT_CHECK(width > 0);
   const std::size_t events = trace.delivery_order().size();
-  if (use_arena) {
-    arena_ = std::make_unique<TsArena>(width, TsArena::Options{.intern = true});
-    arena_->reserve(events, events * width);
-  } else {
-    rows_.resize(width);
-    for (ProcessId p = 0; p < width; ++p) {
-      rows_[p].resize(trace.process_size(p));
-    }
-  }
+  arena_.reserve(events, events * width);
 
   cur_.reserve(width);
   for (ProcessId p = 0; p < width; ++p) cur_.emplace_back(width, p);
@@ -61,11 +47,7 @@ TreeClockStore::TreeClockStore(const Trace& trace, bool use_arena,
   FmClock flat(width);
   const auto store_row = [&](EventId id) {
     cur_[id.process].flatten_into(flat.data(), width);
-    if (arena_) {
-      arena_->append(id.process, flat.data(), flat.size());
-    } else {
-      rows_[id.process][id.index - 1] = flat;
-    }
+    arena_.append(id.process, flat.data(), flat.size());
   };
 
   for (const EventId id : trace.delivery_order()) {
@@ -141,11 +123,7 @@ std::span<const EventIndex> TreeClockStore::row(EventId e) const {
   CT_CHECK_MSG(e.process < trace_.process_count() && e.index >= 1 &&
                    e.index <= trace_.process_size(e.process),
                "unknown event " << e);
-  if (arena_) {
-    return arena_->values(arena_->handle_of(e.process, e.index - 1));
-  }
-  const FmClock& r = rows_[e.process][e.index - 1];
-  return {r.data(), r.size()};
+  return arena_.values(arena_.handle_of(e.process, e.index - 1));
 }
 
 FmClock TreeClockStore::clock(EventId e) const {
@@ -183,7 +161,7 @@ std::size_t TreeClockStore::stored_elements() const {
 }
 
 std::size_t TreeClockStore::resident_elements() const {
-  return arena_ ? arena_->pool_words() : stored_elements();
+  return arena_.pool_words();
 }
 
 std::uint64_t TreeClockStore::state_digest() const {

@@ -10,17 +10,16 @@
 // ingestion cost: a receive's join touches only the entries the sender is
 // ahead on (see JoinStats), not all N components.
 //
-// Storage layout mirrors FmStore's A/B flag (docs/PERF.md): arena (default)
-// pools flattened rows in one interned TsArena — sync halves carry equal
-// vectors and dedup to one row — while the legacy layout keeps one heap
-// vector per event. Both paths answer identically; tests assert it.
+// Storage mirrors FmStore's (docs/PERF.md): flattened rows are pooled in
+// one interned TsArena — sync halves carry equal vectors and dedup to one
+// row.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "model/trace.hpp"
@@ -46,9 +45,8 @@ class TreeClockStore {
   /// (tests hook this to assert the monotone-copy invariant per receive).
   using EventHook = std::function<void(const Event&, const TreeClock&)>;
 
-  explicit TreeClockStore(const Trace& trace);
-  TreeClockStore(const Trace& trace, bool use_arena);
-  TreeClockStore(const Trace& trace, bool use_arena, const EventHook& hook);
+  explicit TreeClockStore(const Trace& trace,
+                          const EventHook& hook = EventHook{});
 
   const Trace& trace() const { return trace_; }
 
@@ -82,18 +80,16 @@ class TreeClockStore {
   const Costs& costs() const { return costs_; }
 
   /// Order-sensitive FNV-1a digest over every stored row plus the final
-  /// tree shapes (tid, clk, aclk, parent per process). Layout-independent:
-  /// arena and legacy stores of one trace digest identically — the
-  /// seed-stability goldens pin it.
+  /// tree shapes (tid, clk, aclk, parent per process) — the seed-stability
+  /// goldens pin it.
   std::uint64_t state_digest() const;
 
  private:
   std::span<const EventIndex> row(EventId e) const;
 
   const Trace& trace_;
-  std::vector<TreeClock> cur_;                 ///< final per-process clocks
-  std::vector<std::vector<FmClock>> rows_;     ///< legacy: [process][index-1]
-  std::unique_ptr<TsArena> arena_;
+  std::vector<TreeClock> cur_;  ///< final per-process clocks
+  TsArena arena_;
   Costs costs_;
 };
 

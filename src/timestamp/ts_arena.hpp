@@ -11,13 +11,13 @@
 // is core/precedence_kernels.hpp, which operates directly on arena rows.
 //
 // Three independent features, selected per use site:
-//  * hot pool   — append-only SoA rows + offset handles (engine fast path,
-//                 FmStore arena layout);
+//  * hot pool   — append-only SoA rows + offset handles (the engine's
+//                 timestamp store, FmStore, TreeClockStore);
 //  * interning  — content dedup of identical rows: sync halves carry equal
 //                 vectors, and repeated projections between receives often
 //                 coincide, so equal rows share pool storage (handles stay
 //                 distinct). Disabled where rows are mutated in place
-//                 (corruption-injection mirroring must not alias).
+//                 (the engine's corruption/repair hooks must not alias).
 //  * cold codec — per-process delta/varint encoding with periodic full
 //                 checkpoints for archival storage: consecutive rows of one
 //                 process differ in few components and deltas are small, so
@@ -105,7 +105,7 @@ class TsArena {
     return {pool_.data() + rows_[h].offset, rows_[h].width};
   }
 
-  /// In-place mutation hooks (corruption-injection / self-repair mirroring).
+  /// In-place mutation hooks (corruption injection / self-repair).
   /// Require interning OFF: shared storage would alias the write.
   void overwrite_component(RowHandle h, std::size_t slot, EventIndex value);
   void overwrite_row(RowHandle h, const EventIndex* values,

@@ -6,8 +6,11 @@
 // pairs. Space savings mean nothing if precedence answers change.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/comm_matrix.hpp"
@@ -306,6 +309,72 @@ TEST(Engine, RejectsQueriesAboutUnobservedEvents) {
   ClusterEngineConfig config{.max_cluster_size = 2, .fm_vector_width = 300};
   ClusterTimestampEngine engine(2, config, make_merge_on_first());
   EXPECT_THROW(engine.timestamp(EventId{0, 1}), CheckFailure);
+}
+
+// Every entry point checks both operands with a CT_CHECK, live in release
+// builds: an f that was never observed, or an e from a process the engine
+// does not have, is a checked error rather than an out-of-bounds read.
+TEST(Engine, EveryEntryPointChecksBothOperands) {
+  TraceBuilder b;
+  b.add_processes(2);
+  b.message(0, 1);
+  b.unary(0);
+  const Trace t = b.build("partial", TraceFamily::kControl);
+  ClusterEngineConfig config{.max_cluster_size = 1, .fm_vector_width = 300};
+  ClusterTimestampEngine engine(2, config, make_merge_on_first());
+  const auto order = t.delivery_order();
+  ASSERT_EQ(order.size(), 3u);
+  engine.observe(t.event(order[0]));
+  engine.observe(t.event(order[1]));
+
+  const Event& seen = t.event(order[1]);    // observed
+  const Event& unseen = t.event(order[2]);  // never observed
+  ASSERT_EQ(unseen.id, (EventId{0, 2}));
+  const Event stranger{EventId{40, 1}};     // process out of range
+
+  EXPECT_THROW(engine.timestamp(unseen.id), CheckFailure);
+  EXPECT_THROW(engine.timestamp(stranger.id), CheckFailure);
+  EXPECT_THROW(engine.precedes(seen, unseen), CheckFailure);
+  EXPECT_THROW(engine.precedes(stranger, seen), CheckFailure);
+
+  QueryCost cost;
+  EXPECT_THROW(engine.precedes_metered(seen, unseen, cost), CheckFailure);
+  EXPECT_THROW(engine.precedes_metered(stranger, seen, cost), CheckFailure);
+
+  // The batch loop, on both its transpose (unlimited) and sequential
+  // (budgeted) paths.
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{100}}) {
+    for (const auto& pair : {std::pair{&seen, &unseen},
+                             std::pair{&stranger, &seen}}) {
+      const std::vector<std::pair<const Event*, const Event*>> pairs = {
+          {&seen, &seen}, pair};
+      std::vector<std::optional<bool>> out(pairs.size());
+      QueryCost batch_cost{.ticks = 0, .budget = budget};
+      EXPECT_THROW(engine.precedes_batch_metered(pairs, batch_cost,
+                                                 out.data()),
+                   CheckFailure)
+          << "budget " << budget;
+    }
+  }
+
+  // The cursor: its anchor, then x on either side of the anchor.
+  EXPECT_THROW(engine.cursor(unseen), CheckFailure);
+  EXPECT_THROW(engine.cursor(stranger), CheckFailure);
+  const auto cursor = engine.cursor(seen);
+  EXPECT_THROW(cursor.anchor_precedes(unseen), CheckFailure);
+  EXPECT_THROW(cursor.precedes_anchor(stranger), CheckFailure);
+  std::uint8_t flag = 0;
+  const Event* unseen_x[] = {&unseen};
+  const Event* stranger_x[] = {&stranger};
+  EXPECT_THROW(cursor.anchor_precedes_batch(unseen_x, &flag), CheckFailure);
+  EXPECT_THROW(cursor.precedes_anchor_batch(stranger_x, &flag),
+               CheckFailure);
+
+  EXPECT_THROW(engine.inject_corruption(unseen.id, 0, 1), CheckFailure);
+  EXPECT_THROW(engine.inject_corruption(stranger.id, 0, 1), CheckFailure);
+
+  // The checks reject only bad operands: the observed pair still answers.
+  EXPECT_TRUE(engine.precedes(t.event(order[0]), seen));
 }
 
 TEST(Engine, ObserveTraceRejectsProcessMismatch) {

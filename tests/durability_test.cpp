@@ -470,11 +470,10 @@ TEST(Recovery, RefeedingTheOverlappingTailConvergesAcrossStrategies) {
     strategies.push_back({"merge-1st", first});
     MonitorOptions nth = options_for(pc);
     nth.nth_threshold = 4.0;
-    strategies.push_back({"merge-nth/arena", nth});
-    MonitorOptions plain = options_for(pc);
-    plain.nth_threshold = 10.0;
-    plain.cluster.use_arena = false;
-    strategies.push_back({"merge-nth/plain", plain});
+    strategies.push_back({"merge-nth/t4", nth});
+    MonitorOptions nth10 = options_for(pc);
+    nth10.nth_threshold = 10.0;
+    strategies.push_back({"merge-nth/t10", nth10});
   }
 
   for (const Strategy& s : strategies) {

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <memory>
+#include <unordered_map>
 
 #include "cluster/comm_matrix.hpp"
 #include "core/engine.hpp"
@@ -57,6 +58,17 @@ Trace property_trace(int which) {
 
 // ---------------------------------------------------- recursive precedence
 
+/// The engine materializes timestamps by value while the recursive test
+/// reads them by reference: materialize every stored timestamp once.
+std::unordered_map<EventId, ClusterTimestamp> stored_timestamps(
+    const ClusterTimestampEngine& engine, const Trace& trace) {
+  std::unordered_map<EventId, ClusterTimestamp> stored;
+  for (const EventId id : trace.delivery_order()) {
+    stored.emplace(id, engine.timestamp(id));
+  }
+  return stored;
+}
+
 // The recursive test must agree with the oracle when driven by the BASE
 // engine's timestamps (merge-only clusters), across strategies and sizes.
 class RecursiveTestProperty : public ::testing::TestWithParam<int> {};
@@ -70,8 +82,9 @@ TEST_P(RecursiveTestProperty, AgreesWithOracleOnBaseEngine) {
     ClusterTimestampEngine engine(trace.process_count(), config,
                                   make_merge_on_nth(1.0));
     engine.observe_trace(trace);
+    const auto stored = stored_timestamps(engine, trace);
     const TimestampLookup lookup = [&](EventId id) -> const ClusterTimestamp& {
-      return engine.timestamp(id);
+      return stored.at(id);
     };
     for (const EventId e : trace.delivery_order()) {
       for (const EventId f : trace.delivery_order()) {
@@ -96,14 +109,13 @@ TEST(RecursiveTest, CountsComparisons) {
   ClusterTimestampEngine engine(trace.process_count(), config,
                                 make_merge_on_first());
   engine.observe_trace(trace);
+  const auto stored = stored_timestamps(engine, trace);
   std::uint64_t comparisons = 0;
   const auto order = trace.delivery_order();
   (void)recursive_precedes(
       trace.event(order.front()), trace.event(order.back()),
       trace.process_count(),
-      [&](EventId id) -> const ClusterTimestamp& {
-        return engine.timestamp(id);
-      },
+      [&](EventId id) -> const ClusterTimestamp& { return stored.at(id); },
       &comparisons);
   EXPECT_GT(comparisons, 0u);
 }

@@ -339,7 +339,7 @@ TEST(MonitoringEntity, EverySingleBitFlipChangesOnlyItsClustersDigest) {
   const auto order = t.delivery_order();
   for (int row = 0; row < 16; ++row) {
     const EventId e = order[rng.index(order.size())];
-    const std::vector<EventIndex>& values = twin.timestamp(e).values;
+    const std::vector<EventIndex> values = twin.timestamp(e).values;
     const std::size_t slot = rng.index(values.size());
     const EventIndex stored = values[slot];
     const ClusterId home = *monitor.cluster_of(e.process);

@@ -1,12 +1,12 @@
 // Tests for the performance layer (docs/PERF.md).
 //
 // The layer's contract is "faster, never different": every acceleration —
-// the arena fast path, store-time probe resolution, the precedence cursor,
+// the arena store, store-time probe resolution, the precedence cursor,
 // the heap-accelerated greedy clustering, the word-parallel kernels, the
 // delta codecs — must be observationally identical to the code it replaces.
-// These tests pin that down: fast vs slow implementations are run side by
-// side on the same inputs and compared answer-for-answer (and, where cost
-// metering is part of the observable surface, tick-for-tick).
+// These tests pin that down: fast implementations and slow references are
+// run side by side on the same inputs and compared answer-for-answer (and,
+// where cost metering is part of the observable surface, tick-for-tick).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "core/engine.hpp"
 #include "core/precedence_kernels.hpp"
 #include "model/trace_builder.hpp"
+#include "timestamp/fm_store.hpp"
 #include "timestamp/query_cost.hpp"
 #include "timestamp/ts_arena.hpp"
 #include "trace/generators.hpp"
@@ -78,37 +79,95 @@ Trace family_trace(int which) {
   }
 }
 
-ClusterEngineConfig engine_config(std::size_t max_cs, bool use_arena) {
+ClusterEngineConfig engine_config(std::size_t max_cs) {
   ClusterEngineConfig config;
   config.max_cluster_size = max_cs;
   config.fm_vector_width = 300;
-  config.use_arena = use_arena;
   return config;
 }
 
-/// All-pairs: plain answers equal, metered answers equal, metered TICKS
-/// equal. The tick identity is the strongest form of "same algorithm": the
-/// arena path must charge exactly what the legacy path would have.
-void expect_engines_identical(const Trace& trace,
-                              const ClusterTimestampEngine& arena,
-                              const ClusterTimestampEngine& legacy,
-                              const std::string& label) {
+/// Test-side reference for the engine's precedence test: the per-query
+/// binary search a store of per-event vectors needs, written over the
+/// public timestamp() values. For a process outside covered(f) it searches
+/// each covered process's cluster receives for the greatest one at or below
+/// f's bound — what the engine resolves once, at store time — and counts
+/// one tick per component comparison, exactly what precedes_metered must
+/// charge.
+class ReferencePrecedence {
+ public:
+  ReferencePrecedence(const ClusterTimestampEngine& engine,
+                      const Trace& trace)
+      : ts_(trace.process_count()), receives_(trace.process_count()) {
+    for (ProcessId p = 0; p < trace.process_count(); ++p) {
+      for (EventIndex i = 1; i <= trace.process_size(p); ++i) {
+        ts_[p].push_back(engine.timestamp(EventId{p, i}));
+        if (ts_[p].back().cluster_receive) receives_[p].push_back(i);
+      }
+    }
+  }
+
+  /// e → f; adds the comparisons made to `ticks`.
+  bool precedes(const Event& ev_e, const Event& ev_f,
+                std::uint64_t& ticks) const {
+    const EventId e = ev_e.id;
+    const EventId f = ev_f.id;
+    if (e == f) return false;
+    if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
+    const ClusterTimestamp& tf = ts_[f.process][f.index - 1];
+    ++ticks;  // the direct test
+    if (const auto comp = tf.component(e.process)) return e.index <= *comp;
+    const auto& covered = *tf.covered;
+    for (std::size_t i = 0; i < covered.size(); ++i) {
+      const auto& receives = receives_[covered[i]];
+      const auto it =
+          std::upper_bound(receives.begin(), receives.end(), tf.values[i]);
+      if (it == receives.begin()) continue;  // no cluster receive seen yet
+      ++ticks;  // one probe
+      const ClusterTimestamp& tr = ts_[covered[i]][*(it - 1) - 1];
+      if (e.index <= tr.values[e.process]) return true;
+    }
+    return false;
+  }
+
+  bool precedes(const Event& ev_e, const Event& ev_f) const {
+    std::uint64_t ticks = 0;
+    return precedes(ev_e, ev_f, ticks);
+  }
+
+ private:
+  std::vector<std::vector<ClusterTimestamp>> ts_;  ///< [process][index-1]
+  std::vector<std::vector<EventIndex>> receives_;  ///< ascending, per process
+};
+
+/// All-pairs: plain answers, metered answers and metered TICKS equal the
+/// reference's. The tick identity is the strongest form of "same
+/// algorithm": the store-time probes must charge exactly what the
+/// per-query search would. With `truth`, the answers must also be
+/// Fidge/Mattern's.
+void expect_engine_matches_reference(const Trace& trace,
+                                     const ClusterTimestampEngine& engine,
+                                     const FmStore* truth,
+                                     const std::string& label) {
+  const ReferencePrecedence reference(engine, trace);
   for (const EventId e : trace.delivery_order()) {
     for (const EventId f : trace.delivery_order()) {
       const Event& ev_e = trace.event(e);
       const Event& ev_f = trace.event(f);
-      const bool got = arena.precedes(ev_e, ev_f);
-      const bool want = legacy.precedes(ev_e, ev_f);
-      ASSERT_EQ(got, want)
+      std::uint64_t want_ticks = 0;
+      const bool want = reference.precedes(ev_e, ev_f, want_ticks);
+      if (truth != nullptr) {
+        ASSERT_EQ(want, truth->precedes(e, f))
+            << label << ": reference disagrees with FM e=" << e << " f=" << f;
+      }
+      ASSERT_EQ(engine.precedes(ev_e, ev_f), want)
           << label << ": precedes mismatch e=" << e << " f=" << f;
 
-      QueryCost ca, cl;
-      const auto ma = arena.precedes_metered(ev_e, ev_f, ca);
-      const auto ml = legacy.precedes_metered(ev_e, ev_f, cl);
-      ASSERT_EQ(ma.has_value(), ml.has_value()) << label << " e=" << e;
-      ASSERT_EQ(*ma, *ml) << label << ": metered mismatch e=" << e
-                          << " f=" << f;
-      ASSERT_EQ(ca.ticks, cl.ticks)
+      QueryCost cost;
+      const auto got = engine.precedes_metered(ev_e, ev_f, cost);
+      ASSERT_TRUE(got.has_value()) << label << " e=" << e;
+      ASSERT_EQ(*got, want) << label << ": metered mismatch e=" << e
+                            << " f=" << f;
+      ASSERT_EQ(cost.ticks, want_ticks)
           << label << ": tick mismatch e=" << e << " f=" << f;
     }
   }
@@ -118,47 +177,38 @@ class ArenaEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ArenaEquivalence, AnswersAndTicksMatchLegacyAllPairs) {
   const Trace trace = family_trace(GetParam());
-  const std::size_t n = trace.process_count();
+  const FmStore truth(trace);
 
   for (const std::size_t max_cs :
        {std::size_t{2}, std::size_t{5}, std::size_t{13}}) {
-    ClusterTimestampEngine arena(n, engine_config(max_cs, true),
-                                 make_merge_on_nth(2.0));
-    ClusterTimestampEngine legacy(n, engine_config(max_cs, false),
+    ClusterTimestampEngine engine(trace.process_count(), engine_config(max_cs),
                                   make_merge_on_nth(2.0));
-    arena.observe_trace(trace);
-    legacy.observe_trace(trace);
-    ASSERT_EQ(arena.state_digest(), legacy.state_digest());
-    EXPECT_GT(arena.arena_words(), 0u);
-    EXPECT_EQ(legacy.arena_words(), 0u);
-    expect_engines_identical(trace, arena, legacy,
-                             trace.name() + " maxCS=" +
-                                 std::to_string(max_cs));
+    engine.observe_trace(trace);
+    EXPECT_GT(engine.arena_words(), 0u);
+    expect_engine_matches_reference(
+        trace, engine, &truth,
+        trace.name() + " maxCS=" + std::to_string(max_cs));
   }
 }
 
 TEST_P(ArenaEquivalence, CursorMatchesLegacyBothDirections) {
   const Trace trace = family_trace(GetParam());
-  const std::size_t n = trace.process_count();
-
-  ClusterTimestampEngine arena(n, engine_config(5, true),
-                               make_merge_on_nth(2.0));
-  ClusterTimestampEngine legacy(n, engine_config(5, false),
+  ClusterTimestampEngine engine(trace.process_count(), engine_config(5),
                                 make_merge_on_nth(2.0));
-  arena.observe_trace(trace);
-  legacy.observe_trace(trace);
+  engine.observe_trace(trace);
+  const ReferencePrecedence reference(engine, trace);
 
   // Every event as anchor would be quadratic twice over; a stride keeps it
   // fast while still hitting full rows, projections, and sync halves.
   const auto& order = trace.delivery_order();
   for (std::size_t i = 0; i < order.size(); i += 7) {
     const Event& anchor = trace.event(order[i]);
-    const auto cur = arena.cursor(anchor);
+    const auto cur = engine.cursor(anchor);
     for (const EventId x : order) {
       const Event& ev_x = trace.event(x);
-      ASSERT_EQ(cur.anchor_precedes(ev_x), legacy.precedes(anchor, ev_x))
+      ASSERT_EQ(cur.anchor_precedes(ev_x), reference.precedes(anchor, ev_x))
           << trace.name() << ": anchor=" << order[i] << " x=" << x;
-      ASSERT_EQ(cur.precedes_anchor(ev_x), legacy.precedes(ev_x, anchor))
+      ASSERT_EQ(cur.precedes_anchor(ev_x), reference.precedes(ev_x, anchor))
           << trace.name() << ": x=" << x << " anchor=" << order[i];
     }
   }
@@ -170,7 +220,7 @@ TEST_P(ArenaEquivalence, CursorMatchesLegacyBothDirections) {
 // where a running sequential meter would.
 TEST_P(ArenaEquivalence, BatchedPrecedenceMatchesSequentialAnswersAndTicks) {
   const Trace trace = family_trace(GetParam());
-  ClusterTimestampEngine arena(trace.process_count(), engine_config(5, true),
+  ClusterTimestampEngine arena(trace.process_count(), engine_config(5),
                                make_merge_on_nth(2.0));
   arena.observe_trace(trace);
 
@@ -230,7 +280,7 @@ TEST_P(ArenaEquivalence, BatchedPrecedenceMatchesSequentialAnswersAndTicks) {
 // and sync halves.
 TEST_P(ArenaEquivalence, CursorBatchMatchesScalarCursorCalls) {
   const Trace trace = family_trace(GetParam());
-  ClusterTimestampEngine arena(trace.process_count(), engine_config(5, true),
+  ClusterTimestampEngine arena(trace.process_count(), engine_config(5),
                                make_merge_on_nth(2.0));
   arena.observe_trace(trace);
 
@@ -256,43 +306,43 @@ TEST_P(ArenaEquivalence, CursorBatchMatchesScalarCursorCalls) {
 INSTANTIATE_TEST_SUITE_P(Families, ArenaEquivalence, ::testing::Range(0, 8));
 
 // The precomputed probes must track in-place mutations: corruption changes
-// the projection bounds the legacy path re-searches per query, and a rebuild
-// restores them. After each hook the two engines must still agree on every
-// pair — this is the refresh_probes() contract.
+// the projection bounds a per-query search would follow, and a rebuild
+// restores them. After each hook the engine must still agree with the
+// reference (re-materialized from the mutated store) on every pair — this
+// is the refresh_probes() contract.
 TEST(ArenaEquivalence, CorruptionAndRebuildKeepEnginesIdentical) {
   const Trace trace = generate_locality_random(
       {.processes = 12, .group_size = 4, .messages = 150, .seed = 750});
   const std::size_t n = trace.process_count();
 
-  ClusterTimestampEngine arena(n, engine_config(4, true),
-                               make_merge_on_nth(1.0));
-  ClusterTimestampEngine legacy(n, engine_config(4, false),
-                                make_merge_on_nth(1.0));
-  arena.observe_trace(trace);
-  legacy.observe_trace(trace);
+  ClusterTimestampEngine engine(n, engine_config(4), make_merge_on_nth(1.0));
+  ClusterTimestampEngine untouched(n, engine_config(4),
+                                   make_merge_on_nth(1.0));
+  engine.observe_trace(trace);
+  untouched.observe_trace(trace);
 
-  // Corrupt a spread of stored rows in BOTH engines (the corruption model:
-  // both stores took the same bit flips; queries must read them the same).
+  // Corrupt a spread of stored rows (the corruption model: the store took
+  // bit flips; queries must read them exactly as stored).
   const auto& order = trace.delivery_order();
   std::mt19937 rng(751);
   for (std::size_t i = 0; i < order.size(); i += 11) {
     const std::size_t slot = rng() % 8;
     const EventIndex value = rng() % 64;
-    arena.inject_corruption(order[i], slot, value);
-    legacy.inject_corruption(order[i], slot, value);
+    engine.inject_corruption(order[i], slot, value);
   }
-  expect_engines_identical(trace, arena, legacy, "post-corruption");
+  expect_engine_matches_reference(trace, engine, nullptr, "post-corruption");
 
-  // Repair every cluster in both engines; they must converge back together
-  // (and to the digest of an untouched replay).
+  // Repair every cluster: the engine must converge back to the digests of
+  // an untouched replay and to Fidge/Mattern's answers.
   const auto event_of = [&trace](EventId id) -> const Event& {
     return trace.event(id);
   };
-  for (const ClusterId c : arena.clusters().clusters()) {
-    arena.rebuild_cluster(c, order, event_of);
-    legacy.rebuild_cluster(c, order, event_of);
+  for (const ClusterId c : engine.clusters().clusters()) {
+    engine.rebuild_cluster(c, order, event_of);
+    EXPECT_EQ(engine.cluster_digest(c), untouched.cluster_digest(c));
   }
-  expect_engines_identical(trace, arena, legacy, "post-rebuild");
+  const FmStore truth(trace);
+  expect_engine_matches_reference(trace, engine, &truth, "post-rebuild");
 }
 
 // ---------------------------------------------------------- greedy clustering
@@ -698,8 +748,7 @@ TEST(CompactStore, DeltaModeDecodesIdenticalToAbsolute) {
                                            .backends = 2,
                                            .requests = 80,
                                            .seed = 756});
-  ClusterTimestampEngine engine(trace.process_count(),
-                                engine_config(5, true),
+  ClusterTimestampEngine engine(trace.process_count(), engine_config(5),
                                 make_merge_on_nth(1.0));
   engine.observe_trace(trace);
 

@@ -18,7 +18,7 @@ void print_direct(const char* name, const Trace& t) {
 }
 
 void print_tree_clock(const char* name, const Trace& t) {
-  const TreeClockStore store(t, /*use_arena=*/true);
+  const TreeClockStore store(t);
   std::printf("      {\"%s\", 0x%016llxull},\n", name,
               static_cast<unsigned long long>(store.state_digest()));
 }
@@ -92,8 +92,7 @@ int run() {
                                      .messages = 90, .seed = 3}));
 
   // Tree-clock backend state digests (kTreeClockGoldens): deterministic
-  // replay state of the new backend over fixed seeds — layout-independent,
-  // so one golden pins both the arena and legacy stores.
+  // replay state of the new backend over fixed seeds.
   std::printf("// ---- tree-clock goldens ----\n");
   print_tree_clock("ring",
                    generate_ring({.processes = 10, .iterations = 6,

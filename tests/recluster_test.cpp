@@ -140,8 +140,10 @@ TEST(DecayingCommMatrix, SingleHotPairDominates) {
 TEST(DecayingCommMatrix, SymmetryPreserved) {
   DecayingCommMatrix m(5, 0.7, 8);
   for (int i = 0; i < 300; ++i) {
-    m.record_pair(static_cast<ProcessId>(i % 5),
-                  static_cast<ProcessId>((i * 3 + 1) % 5));
+    const auto p = static_cast<ProcessId>(i % 5);
+    const auto q = static_cast<ProcessId>((i * 3 + 1) % 5);
+    if (p == q) continue;  // record_pair requires two distinct processes
+    m.record_pair(p, q);
   }
   for (ProcessId p = 0; p < 5; ++p) {
     for (ProcessId q = 0; q < 5; ++q) {

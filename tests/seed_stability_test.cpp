@@ -191,10 +191,9 @@ TEST(SeedStability, DirectGeneratorDigestsAreFrozen) {
 
 // Tree-clock backend state digests (TreeClockStore::state_digest): the
 // deterministic replay state of the registry's newest backend — stored rows
-// plus final tree shapes — pinned per seed. The digest is layout
-// independent, so one golden locks the arena AND legacy stores; both are
-// checked. Regenerate with tests/print_seed_goldens on an INTENTIONAL
-// change to the tree-clock join/ingest rules.
+// plus final tree shapes — pinned per seed. Regenerate with
+// tests/print_seed_goldens on an INTENTIONAL change to the tree-clock
+// join/ingest rules.
 TEST(SeedStability, TreeClockBackendDigestsAreFrozen) {
   const std::vector<std::pair<std::string, std::uint64_t>> goldens = {
       {"ring", 0xb24a0893858d6efeull},
@@ -207,13 +206,10 @@ TEST(SeedStability, TreeClockBackendDigestsAreFrozen) {
   auto check = [&](const std::string& name, const Trace& t) {
     ASSERT_LT(i, goldens.size());
     EXPECT_EQ(goldens[i].first, name) << "tree-clock golden order changed";
-    const TreeClockStore arena(t, /*use_arena=*/true);
-    const TreeClockStore legacy(t, /*use_arena=*/false);
-    EXPECT_EQ(arena.state_digest(), goldens[i].second)
+    const TreeClockStore store(t);
+    EXPECT_EQ(store.state_digest(), goldens[i].second)
         << "tree-clock state drifted for " << name
         << " — if intentional, regenerate the goldens";
-    EXPECT_EQ(legacy.state_digest(), goldens[i].second)
-        << "legacy-layout digest diverged from arena for " << name;
     ++i;
   };
 

@@ -78,11 +78,10 @@ std::vector<Strategy> strategies(std::size_t process_count) {
   out.push_back({"merge-1st", first});
   MonitorOptions nth = base;
   nth.nth_threshold = 4.0;
-  out.push_back({"merge-nth/arena", nth});
-  MonitorOptions plain = base;
-  plain.nth_threshold = 10.0;
-  plain.cluster.use_arena = false;
-  out.push_back({"merge-nth/plain", plain});
+  out.push_back({"merge-nth/t4", nth});
+  MonitorOptions nth10 = base;
+  nth10.nth_threshold = 10.0;
+  out.push_back({"merge-nth/t10", nth10});
   return out;
 }
 
@@ -126,7 +125,7 @@ TEST(ColumnarFormat, RoundTripsManifestAcrossStrategies) {
 
 TEST(ColumnarFormat, MappedPrecedenceMatchesTheLiveEngine) {
   const std::vector<Event> stream = small_stream(6, 15);
-  MonitorOptions mo = strategies(6)[2].options;  // merge-nth/arena
+  MonitorOptions mo = strategies(6)[2].options;  // merge-nth/t4
   const auto monitor = fed_monitor(mo, 6, stream);
   ASSERT_TRUE(monitor->can_export_arena());
 

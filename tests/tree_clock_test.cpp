@@ -53,18 +53,15 @@ void expect_shape_ok(const TreeClock& c, const char* where) {
 }
 
 // Satellite property 1: every event's flattened tree clock equals the
-// Fidge/Mattern vector FmStore computes, in both storage layouts, and the
-// derived precedence/concurrency answers match the ground-truth oracle.
+// Fidge/Mattern vector FmStore computes, and the derived
+// precedence/concurrency answers match the ground-truth oracle.
 TEST(TreeClockStore, FlattenedClocksMatchVectorClocks) {
   for (const Trace& t : property_traces(101)) {
     const FmStore ref(t);
-    for (const bool arena : {false, true}) {
-      const TreeClockStore store(t, arena);
-      for (const EventId e : t.delivery_order()) {
-        ASSERT_EQ(store.clock(e), ref.clock(e))
-            << "event P" << e.process << "." << e.index
-            << " arena=" << arena;
-      }
+    const TreeClockStore store(t);
+    for (const EventId e : t.delivery_order()) {
+      ASSERT_EQ(store.clock(e), ref.clock(e))
+          << "event P" << e.process << "." << e.index;
     }
   }
 }
@@ -73,7 +70,7 @@ TEST(TreeClockStore, PrecedenceMatchesOracleOnSampledPairs) {
   Prng rng(7);
   for (const Trace& t : property_traces(202)) {
     const CausalityOracle oracle(t);
-    const TreeClockStore store(t, /*use_arena=*/true);
+    const TreeClockStore store(t);
     const std::vector<EventId> events = {t.delivery_order().begin(),
                                          t.delivery_order().end()};
     for (int i = 0; i < 400; ++i) {
@@ -99,7 +96,7 @@ TEST(TreeClockStore, PrecedenceMatchesOracleOnSampledPairs) {
 TEST(TreeClock, JoinCommutativeIdempotentAndPointwiseMax) {
   Prng rng(11);
   for (const Trace& t : property_traces(303)) {
-    const TreeClockStore store(t, /*use_arena=*/true);
+    const TreeClockStore store(t);
     const std::size_t n = t.process_count();
     for (int round = 0; round < 50; ++round) {
       const ProcessId p = static_cast<ProcessId>(rng.index(n));
@@ -158,14 +155,14 @@ TEST(TreeClockStore, MonotoneCopyInvariantHoldsAfterEveryReceive) {
           << "own component must equal the event index";
       prev = now;
     };
-    const TreeClockStore store(t, /*use_arena=*/false, hook);
+    const TreeClockStore store(t, hook);
     ASSERT_EQ(hooks, t.event_count());
   }
 }
 
 TEST(TreeClockStore, SyncHalvesCarryEqualClocksAndAreConcurrent) {
   for (const Trace& t : property_traces(505)) {
-    const TreeClockStore store(t, /*use_arena=*/true);
+    const TreeClockStore store(t);
     std::size_t syncs = 0;
     for (const EventId id : t.delivery_order()) {
       const Event& e = t.event(id);
@@ -216,7 +213,7 @@ TEST(TreeClock, TickBumpAndDominationBasics) {
 TEST(TreeClock, JoinStatsCountPrunedSubtrees) {
   const Trace t = generate_uniform_random(
       {.processes = 12, .messages = 150, .seed = 31});
-  const TreeClockStore store(t, /*use_arena=*/true);
+  const TreeClockStore store(t);
   const TreeClock::JoinStats& s = store.costs().join;
   EXPECT_GT(s.joins, 0u);
   EXPECT_GT(s.nodes_updated, 0u);
@@ -228,7 +225,7 @@ TEST(TreeClock, JoinStatsCountPrunedSubtrees) {
 TEST(TreeClockStore, MeteredPrecedenceHonorsBudgetAndMatchesUnmetered) {
   const Trace t = generate_rpc_chain(
       {.services = 6, .chain_length = 3, .requests = 20, .seed = 17});
-  const TreeClockStore store(t, /*use_arena=*/true);
+  const TreeClockStore store(t);
   const std::vector<EventId> events = {t.delivery_order().begin(),
                                        t.delivery_order().end()};
   Prng rng(23);
@@ -245,16 +242,6 @@ TEST(TreeClockStore, MeteredPrecedenceHonorsBudgetAndMatchesUnmetered) {
   spent.budget = 1;
   ASSERT_TRUE(spent.charge(1));
   ASSERT_FALSE(store.precedes_metered(events[0], events[1], spent).has_value());
-}
-
-TEST(TreeClockStore, StateDigestIsLayoutIndependent) {
-  for (const Trace& t : property_traces(606)) {
-    const TreeClockStore arena(t, /*use_arena=*/true);
-    const TreeClockStore legacy(t, /*use_arena=*/false);
-    EXPECT_EQ(arena.state_digest(), legacy.state_digest()) << t.name();
-    EXPECT_EQ(arena.stored_elements(), legacy.stored_elements());
-    EXPECT_LE(arena.resident_elements(), legacy.resident_elements());
-  }
 }
 
 }  // namespace
