@@ -11,7 +11,8 @@
 // BENCH_<name>.json with every json_metric() recorded during the run plus
 // the verdict tally, so CI can diff runs against checked-in baselines
 // (bench/baselines/). Without the flag the sink is inert and the bench
-// output is unchanged.
+// output is unchanged. Either way a bench exits 1 when any verdict line
+// reads [SHAPE DIFFERS].
 #pragma once
 
 #include <cstdio>
@@ -67,10 +68,17 @@ inline void json_metric(const std::string& key, double value) {
 }
 
 /// Writes the JSON report if --json was requested. Returns main()'s exit
-/// code (non-zero only when the report cannot be written).
+/// code: 1 when any verdict differed or the report cannot be written, so
+/// every paper claim a bench checks is a gate.
 inline int bench_finish() {
   JsonSink& sink = json_sink();
-  if (sink.path.empty()) return 0;
+  const std::size_t differ = sink.verdicts - sink.verdicts_hold;
+  if (differ > 0) {
+    std::cout << "\n[FAIL] " << differ << " of " << sink.verdicts
+              << " verdicts differ\n";
+  }
+  const int verdicts_code = differ > 0 ? 1 : 0;
+  if (sink.path.empty()) return verdicts_code;
   std::FILE* f = std::fopen(sink.path.c_str(), "w");
   if (f == nullptr) {
     std::cerr << "cannot write " << sink.path << "\n";
@@ -86,7 +94,7 @@ inline int bench_finish() {
   std::fprintf(f, "\n  }\n}\n");
   std::fclose(f);
   std::cout << "\n[json] wrote " << sink.path << "\n";
-  return 0;
+  return verdicts_code;
 }
 
 /// Rewritten argv for a google-benchmark binary: `--json[=PATH]` becomes

@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   ct::verify_cursor_exactness();
   auto args = ct::bench::gbench_args(argc, argv, "gbench_frontier");
   benchmark::Initialize(&args.argc, args.argv.data());
-  // Which dispatch tier served this run (CT_KERNEL_TIER-overridable);
+  // Which kernel tier served this run (CPUID-selected);
   // lands in the --json context so recorded results are attributable.
   benchmark::AddCustomContext(
       "kernel_tier", ct::kernels::to_string(ct::kernels::active_tier()));

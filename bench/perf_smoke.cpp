@@ -187,14 +187,13 @@ void smoke_precedence(const Trace& t) {
               cursor_f * perq);
 }
 
-// ------------------------------------- batched precedence: dispatch tiers
+// ------------------------------------------------------ batched precedence
 
 void smoke_batch() {
-  // Wide rows (N=300) are where the dispatch tier's lane width shows: the
-  // batch-transpose path resolves arena rows once and streams the direct-
-  // test operands contiguously through the widest kernel available. The
-  // baseline is the pre-batch serving path: one SWAR-tier precedes_metered
-  // call per pair.
+  // Wide rows (N=300): the batch-transpose path resolves arena rows once
+  // and streams the direct-test operands contiguously through batch_leq.
+  // The reference is the pre-batch serving path: one precedes_metered call
+  // per pair.
   constexpr std::size_t kN = 300;
   const Trace t = generate_locality_random({.processes = kN,
                                             .group_size = 15,
@@ -214,16 +213,12 @@ void smoke_batch() {
     records.emplace_back(&t.event(e), &t.event(f));
   }
 
-  const kernels::KernelTier active = kernels::active_tier();
-
-  // Identity first: on EVERY tier this machine supports, the batch path
-  // must match the sequential scalar-reference loop answer-for-answer and
-  // tick-for-tick.
+  // Identity first: the batch path must match the sequential loop
+  // answer-for-answer and tick-for-tick.
   std::vector<std::optional<bool>> expected(records.size());
   std::uint64_t expected_ticks = 0;
   std::size_t trues = 0;
   {
-    kernels::set_kernel_tier(kernels::KernelTier::kScalar);
     QueryCost cost;
     for (std::size_t i = 0; i < records.size(); ++i) {
       expected[i] = engine.precedes_metered(*records[i].first,
@@ -233,124 +228,23 @@ void smoke_batch() {
     }
     expected_ticks = cost.ticks;
   }
-
-  constexpr kernels::KernelTier kTiers[] = {
-      kernels::KernelTier::kScalar, kernels::KernelTier::kSwar,
-      kernels::KernelTier::kAvx2, kernels::KernelTier::kAvx512};
-  for (const kernels::KernelTier tier : kTiers) {
-    if (!kernels::tier_supported(tier)) continue;
-    kernels::set_kernel_tier(tier);
-    QueryCost cost;
-    std::vector<std::optional<bool>> got(records.size());
-    CT_CHECK_MSG(engine.precedes_batch_metered(records, cost, got.data()) ==
-                     records.size(),
-                 "batch run fell short on tier " << kernels::to_string(tier));
-    CT_CHECK_MSG(got == expected, "batch answers diverge on tier "
-                                      << kernels::to_string(tier));
-    CT_CHECK_MSG(cost.ticks == expected_ticks,
-                 "batch ticks diverge on tier " << kernels::to_string(tier)
-                                                << ": " << cost.ticks
-                                                << " != " << expected_ticks);
-  }
-
-  // Kernel-level sweeps at width N=300: the raw batched-precedence
-  // primitives where the tier's lane count is the whole story. Two shapes:
-  //   * batch_leq — the transpose path's streaming core (one comparison
-  //     per gathered pair, no early exit);
-  //   * batch_all_leq — whole-vector dominance of one query row against
-  //     many stored rows (the audit/oracle sweep shape).
-  // Both are gated per tier as a ratio over the SWAR tier measured in the
-  // same run, so "avx512 is >=2x swar" is a machine-independent floor.
+  std::vector<std::optional<bool>> out(records.size());
   {
-    Prng rng(11);
-    constexpr std::size_t kPairs = 1 << 15;
-    std::vector<EventIndex> tr_bounds(kPairs), tr_comps(kPairs);
-    for (std::size_t i = 0; i < kPairs; ++i) {
-      tr_bounds[i] = static_cast<EventIndex>(rng.uniform(0, 1u << 20));
-      tr_comps[i] = static_cast<EventIndex>(rng.uniform(0, 1u << 20));
-    }
-    std::vector<std::uint8_t> flags(kPairs);
-
-    constexpr std::size_t kRows = 2048;
-    std::vector<EventIndex> row_pool(kRows * kN);
-    std::vector<const EventIndex*> rows(kRows);
-    std::vector<EventIndex> query(kN);
-    for (auto& x : query) x = static_cast<EventIndex>(rng.uniform(0, 64));
-    for (std::size_t r = 0; r < kRows; ++r) {
-      EventIndex* row = row_pool.data() + r * kN;
-      for (std::size_t i = 0; i < kN; ++i) {
-        row[i] = query[i] + static_cast<EventIndex>(rng.uniform(0, 64));
-      }
-      // A quarter of the rows fail dominance at a random component, so the
-      // early-exit path stays exercised; the rest scan the full width.
-      if (r % 4 == 0 && query[r % kN] > 0) {
-        row[r % kN] = query[r % kN] - 1;
-      }
-      rows[r] = row;
-    }
-    std::vector<std::uint8_t> verdicts(kRows);
-
-    double swar_leq = 0.0, swar_dom = 0.0;
-    for (const kernels::KernelTier tier : kTiers) {
-      if (!kernels::tier_supported(tier)) continue;
-      const kernels::KernelOps& ops = kernels::ops_for_tier(tier);
-      const double leq_s = best_of(7, [&] {
-        ops.batch_leq(tr_bounds.data(), tr_comps.data(), kPairs,
-                      flags.data());
-        g_sink = flags[kPairs - 1];
-      });
-      const double dom_s = best_of(7, [&] {
-        ops.batch_all_leq(query.data(), kN, rows.data(), kRows,
-                          verdicts.data());
-        g_sink = verdicts[kRows - 1];
-      });
-      if (tier == kernels::KernelTier::kSwar) {
-        swar_leq = leq_s;
-        swar_dom = dom_s;
-      }
-      const std::string name = kernels::to_string(tier);
-      if (swar_leq > 0.0) {
-        bench::json_metric("speedup_kernel_batch_" + name, swar_leq / leq_s);
-        bench::json_metric("speedup_kernel_dominance_" + name,
-                           swar_dom / dom_s);
-        std::printf("kernels N=%zu: tier %-6s batch_leq %.2fx, "
-                    "batch_all_leq %.2fx vs swar\n",
-                    kN, name.c_str(), swar_leq / leq_s, swar_dom / dom_s);
-      }
-    }
-    // The scalar tier ran before swar set the denominators; redo it so the
-    // report is complete (tiers are ordered scalar < swar in kTiers).
-    // Scalar is the correctness oracle, not a perf contract — at -O3 the
-    // compiler may auto-vectorize it past hand-SWAR — so its ratios are
-    // informational `ratio_` keys, not gated `speedup_` keys.
-    if (kernels::tier_supported(kernels::KernelTier::kScalar)) {
-      const kernels::KernelOps& ops =
-          kernels::ops_for_tier(kernels::KernelTier::kScalar);
-      const double leq_s = best_of(7, [&] {
-        ops.batch_leq(tr_bounds.data(), tr_comps.data(), kPairs,
-                      flags.data());
-        g_sink = flags[kPairs - 1];
-      });
-      const double dom_s = best_of(7, [&] {
-        ops.batch_all_leq(query.data(), kN, rows.data(), kRows,
-                          verdicts.data());
-        g_sink = verdicts[kRows - 1];
-      });
-      bench::json_metric("ratio_kernel_batch_scalar", swar_leq / leq_s);
-      bench::json_metric("ratio_kernel_dominance_scalar", swar_dom / dom_s);
-      std::printf("kernels N=%zu: tier scalar batch_leq %.2fx, "
-                  "batch_all_leq %.2fx vs swar\n",
-                  kN, swar_leq / leq_s, swar_dom / dom_s);
-    }
+    QueryCost cost;
+    CT_CHECK_MSG(engine.precedes_batch_metered(records, cost, out.data()) ==
+                     records.size(),
+                 "batch run fell short");
+    CT_CHECK_MSG(out == expected, "batch answers diverge");
+    CT_CHECK_MSG(cost.ticks == expected_ticks,
+                 "batch ticks diverge: " << cost.ticks
+                                         << " != " << expected_ticks);
   }
 
-  // End-to-end canary: the engine's transpose path against the pre-batch
-  // serving loop (sequential SWAR-tier precedes_metered). Random cross-
-  // cluster pairs are probe-walk-bound, so this ratio hovers near 1 with
-  // high run-to-run variance — reported as an informational `ratio_` key
-  // (the exact det_batch_* identity gates and the kernel speedups above
-  // are the stable contracts).
-  kernels::set_kernel_tier(kernels::KernelTier::kSwar);
+  // End-to-end canary: the engine's transpose path against the sequential
+  // loop. Random cross-cluster pairs are probe-walk-bound, so this ratio
+  // hovers near 1 with high run-to-run variance — reported as an
+  // informational `ratio_` key (the exact det_batch_* identity gates are
+  // the stable contracts).
   const double seq_s = best_of(5, [&] {
     QueryCost cost;
     std::size_t hits = 0;
@@ -359,66 +253,83 @@ void smoke_batch() {
     }
     g_sink = hits;
   });
+  const double batch_s = best_of(5, [&] {
+    QueryCost cost;
+    g_sink = engine.precedes_batch_metered(records, cost, out.data());
+  });
 
   const double per = 1e9 / static_cast<double>(records.size());
-  std::vector<std::optional<bool>> out(records.size());
-  for (const kernels::KernelTier tier : kTiers) {
-    if (!kernels::tier_supported(tier)) continue;
-    kernels::set_kernel_tier(tier);
-    const double batch_s = best_of(5, [&] {
-      QueryCost cost;
-      g_sink = engine.precedes_batch_metered(records, cost, out.data());
-    });
-    const std::string name = kernels::to_string(tier);
-    bench::json_metric("ratio_batch_engine_" + name, seq_s / batch_s);
-    bench::json_metric("ns_per_batch_pair_" + name, batch_s * per);
-    std::printf("batch N=%zu: tier %-6s engine speedup %.2fx vs sequential "
-                "swar (%.1f -> %.1f ns/pair)\n",
-                kN, name.c_str(), seq_s / batch_s, seq_s * per,
-                batch_s * per);
-  }
-  kernels::set_kernel_tier(active);
-
-  bench::json_metric("kernel_tier",
-                     static_cast<double>(static_cast<int>(active)));
+  bench::json_metric("ratio_batch_engine", seq_s / batch_s);
+  bench::json_metric("ns_per_batch_pair", batch_s * per);
   bench::json_metric("det_batch_true", static_cast<double>(trues));
   bench::json_metric("det_batch_ticks", static_cast<double>(expected_ticks));
-  std::printf("batch N=%zu: %zu pairs identical on every supported tier "
-              "(active: %s)\n",
-              kN, records.size(), kernels::to_string(active));
+  std::printf("batch N=%zu: %zu pairs identical to the sequential loop, "
+              "engine speedup %.2fx (%.1f -> %.1f ns/pair)\n",
+              kN, records.size(), seq_s / batch_s, seq_s * per,
+              batch_s * per);
 }
 
-// ------------------------------------------------ greedy clustering A/B
+// ----------------------------------------------- the FM join: AVX2 vs scalar
+
+void smoke_max_into() {
+  // max_into is the Fidge/Mattern join that cold-start replay runs over
+  // full-width vectors, and the op whose AVX2 body pays end to end
+  // (docs/PERF.md §7). Its gate is a same-run ratio over the scalar loop
+  // at N=1000, so a machine's absolute speed divides out.
+#if defined(CT_KERNELS_X86)
+  if (kernels::active_tier() != kernels::KernelTier::kAvx2) {
+    std::printf("max_into:   no AVX2 on this CPU, gate skipped\n");
+    return;
+  }
+  constexpr std::size_t kN = 1000;
+  constexpr std::size_t kRows = 256;
+  Prng rng(11);
+  std::vector<EventIndex> rows(kRows * kN);
+  for (auto& x : rows) x = static_cast<EventIndex>(rng.uniform(0, 1u << 20));
+  std::vector<EventIndex> clock(kN);
+  const auto fold = [&](const auto& join) {
+    std::fill(clock.begin(), clock.end(), EventIndex{0});
+    for (std::size_t r = 0; r < kRows; ++r) {
+      join(clock.data(), rows.data() + r * kN, kN);
+    }
+    g_sink = clock[kN - 1];
+  };
+  fold(kernels::scalar::max_into);
+  const std::vector<EventIndex> want = clock;
+  fold(kernels::avx2::max_into);
+  CT_CHECK_MSG(clock == want, "AVX2 max_into diverges from the scalar loop");
+
+  const double scalar_s = best_of(7, [&] { fold(kernels::scalar::max_into); });
+  const double avx2_s = best_of(7, [&] { fold(kernels::avx2::max_into); });
+  const double per = 1e9 / static_cast<double>(kRows);
+  bench::json_metric("speedup_kernel_max_into_avx2", scalar_s / avx2_s);
+  bench::json_metric("ns_per_max_into_scalar", scalar_s * per);
+  bench::json_metric("ns_per_max_into_avx2", avx2_s * per);
+  std::printf("max_into:   N=%zu, AVX2 %.2fx over scalar (%.1f -> %.1f "
+              "ns/join)\n",
+              kN, scalar_s / avx2_s, scalar_s * per, avx2_s * per);
+#else
+  std::printf("max_into:   not an x86 build, gate skipped\n");
+#endif
+}
+
+// ------------------------------------------------------- greedy clustering
 
 void smoke_greedy(const Trace& t) {
+  // The heap greedy's byte identity with the paper-shaped O(N^3) scan is
+  // tests/perf_layer_test.cpp's GreedyHeapEquivalence; here only its cluster
+  // count is pinned.
   const CommMatrix comm(t);
-  std::size_t clusters_at_13 = 0;
-  for (const std::size_t max_cs : {2UL, 5UL, 13UL, 40UL}) {
-    const StaticGreedyOptions options{.max_cluster_size = max_cs};
-    const auto heap = static_greedy_clusters(comm, options);
-    const auto reference = static_greedy_clusters_reference(comm, options);
-    CT_CHECK_MSG(heap == reference,
-                 "heap greedy diverges from reference at maxCS=" << max_cs);
-    if (max_cs == 13) clusters_at_13 = heap.size();
-  }
-
   const StaticGreedyOptions options{.max_cluster_size = 13};
-  const double slow_s = best_of(3, [&] {
-    g_sink = static_greedy_clusters_reference(comm, options).size();
-  });
-  const double fast_s = best_of(3, [&] {
+  const std::size_t clusters = static_greedy_clusters(comm, options).size();
+  const double heap_s = best_of(3, [&] {
     g_sink = static_greedy_clusters(comm, options).size();
   });
 
-  bench::json_metric("speedup_greedy_heap", slow_s / fast_s);
-  bench::json_metric("det_greedy_clusters",
-                     static_cast<double>(clusters_at_13));
-  bench::json_metric("ms_greedy_reference", slow_s * 1e3);
-  bench::json_metric("ms_greedy_heap", fast_s * 1e3);
-  std::printf("greedy:     C=%zu, heap speedup %.2fx (%.2f -> %.2f ms), "
-              "partitions identical at maxCS {2,5,13,40}\n",
-              comm.process_count(), slow_s / fast_s, slow_s * 1e3,
-              fast_s * 1e3);
+  bench::json_metric("det_greedy_clusters", static_cast<double>(clusters));
+  bench::json_metric("ms_greedy_heap", heap_s * 1e3);
+  std::printf("greedy:     C=%zu, %zu clusters at maxCS 13 in %.2f ms\n",
+              comm.process_count(), clusters, heap_s * 1e3);
 }
 
 // ------------------------------------------------ baseline gate (--check)
@@ -466,19 +377,9 @@ int check_against(const std::string& path) {
     return nullptr;
   };
 
-  // A baseline produced on a wide machine carries per-tier keys (suffix
-  // _scalar/_swar/_avx2/_avx512) this runner may not support; skip the
-  // tiers not measured in THIS run instead of failing on them.
-  const auto tier_suffixed = [](const std::string& key) {
-    for (const char* suffix : {"_scalar", "_swar", "_avx2", "_avx512"}) {
-      const std::string s(suffix);
-      if (key.size() >= s.size() &&
-          key.compare(key.size() - s.size(), s.size(), s) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
+  // The max_into keys are measured only on CPUs with AVX2; a runner
+  // without it skips them instead of failing on them.
+  const bool has_avx2 = kernels::active_tier() == kernels::KernelTier::kAvx2;
 
   int failures = 0;
   std::printf("\n-- baseline check vs %s --\n", path.c_str());
@@ -486,9 +387,8 @@ int check_against(const std::string& path) {
     const double* got = lookup(key);
     if (got == nullptr) {
       if (key.rfind("verdicts_", 0) == 0) continue;  // sink bookkeeping
-      if (tier_suffixed(key)) {
-        std::printf("[skip] %-28s tier not available on this machine\n",
-                    key.c_str());
+      if (!has_avx2 && key.find("max_into") != std::string::npos) {
+        std::printf("[skip] %-28s no AVX2 on this machine\n", key.c_str());
         continue;
       }
       std::printf("[FAIL] %-28s missing from this run\n", key.c_str());
@@ -534,18 +434,18 @@ int main(int argc, char** argv) {
   ct::bench::header("perf_smoke", "perf-regression gate (docs/PERF.md)",
                     "Reduced-size runs of the engine precedence path "
                     "(checked against FM), the frontier cursor vs per-pair "
-                    "precedes, the batch kernels, and the heap greedy "
-                    "clustering; gated on same-run speedup ratios and "
-                    "deterministic counters only.");
+                    "precedes, the batch path, the AVX2 FM join, and the "
+                    "heap greedy clustering; gated on same-run speedup "
+                    "ratios and deterministic counters only.");
 
   const ct::Trace t = ct::make_trace();
   std::printf("trace: %zu processes, %zu events\n", t.process_count(),
               t.event_count());
-  std::printf("kernel tier: %s (widest supported: %s)\n\n",
-              ct::kernels::to_string(ct::kernels::active_tier()),
-              ct::kernels::to_string(ct::kernels::widest_supported_tier()));
+  std::printf("kernel tier: %s\n\n",
+              ct::kernels::to_string(ct::kernels::active_tier()));
   ct::smoke_precedence(t);
   ct::smoke_batch();
+  ct::smoke_max_into();
   ct::smoke_greedy(t);
 
   int exit_code = ct::bench::bench_finish();

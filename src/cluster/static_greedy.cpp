@@ -34,76 +34,14 @@ struct CandidateLess {
 
 double pair_score(std::uint64_t count, std::size_t combined_size,
                   bool normalize) {
-  // Kept in one place so the heap path and the reference path compute
-  // bit-identical doubles (the identical-output property test relies on it).
+  // The test-side reference scan computes this same expression, so both
+  // produce bit-identical doubles (the identical-output test relies on it).
   return normalize
              ? static_cast<double>(count) / static_cast<double>(combined_size)
              : static_cast<double>(count);
 }
 
 }  // namespace
-
-std::vector<std::vector<ProcessId>> static_greedy_clusters_reference(
-    const CommMatrix& comm, const StaticGreedyOptions& options) {
-  const std::size_t n = comm.process_count();
-  CT_CHECK(n > 0);
-  CT_CHECK_MSG(options.max_cluster_size >= 1, "maxCS must be >= 1");
-
-  ClusterSet clusters(n);
-  // Cached inter-cluster occurrence counts, indexed by cluster root; folded
-  // on merge so the pairwise scan stays O(1) per pair.
-  FlatMatrix<std::uint64_t> cr(n, n, 0);
-  for (ProcessId p = 0; p < n; ++p) {
-    for (ProcessId q = 0; q < n; ++q) {
-      if (p != q) cr(p, q) = comm.occurrences(p, q);
-    }
-  }
-
-  std::vector<ClusterId> active = clusters.clusters();
-  for (;;) {
-    // Lines 2–14: select the mergeable pair with the highest (normalized)
-    // communication. Ties resolve to the lexicographically smallest id pair,
-    // making the whole algorithm deterministic.
-    double best = 0.0;
-    ClusterId best_a = 0, best_b = 0;
-    bool found = false;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const ClusterId ci = active[i];
-      const std::size_t size_i = clusters.size(ci);
-      for (std::size_t j = i + 1; j < active.size(); ++j) {
-        const ClusterId cj = active[j];
-        const std::size_t combined = size_i + clusters.size(cj);
-        if (combined > options.max_cluster_size) continue;  // line 7
-        const std::uint64_t count = cr(ci, cj);
-        if (count == 0) continue;
-        const double score = pair_score(count, combined, options.normalize);
-        if (score > best) {
-          best = score;
-          best_a = ci;
-          best_b = cj;
-          found = true;
-        }
-      }
-    }
-    if (!found) break;  // line 19: CRMax == 0
-
-    // Lines 15–18: replace the pair with its union; fold the cached counts.
-    const ClusterId survivor = clusters.merge(best_a, best_b);
-    const ClusterId gone = survivor == best_a ? best_b : best_a;
-    for (const ClusterId other : active) {
-      if (other == best_a || other == best_b) continue;
-      cr(survivor, other) = cr(best_a, other) + cr(best_b, other);
-      cr(other, survivor) = cr(survivor, other);
-    }
-    std::erase(active, gone);
-  }
-
-  std::vector<std::vector<ProcessId>> out;
-  out.reserve(active.size());
-  std::sort(active.begin(), active.end());
-  for (const ClusterId c : active) out.push_back(*clusters.members(c));
-  return out;
-}
 
 std::vector<std::vector<ProcessId>> static_greedy_clusters(
     const CommMatrix& comm, const StaticGreedyOptions& options) {

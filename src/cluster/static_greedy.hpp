@@ -13,9 +13,9 @@
 // O(C^2 log C) overall instead of the O(N^3) all-pairs rescan the paper
 // quotes ("when implemented, we observed that the performance was more than
 // sufficient" — true at N=300, not at the scales the ROADMAP targets).
-// static_greedy_clusters_reference() retains the paper-shaped O(N^3) scan;
-// the two are asserted byte-identical (including tie-breaks) across all
-// trace families in tests/perf_layer_test.cpp.
+// tests/perf_layer_test.cpp keeps the paper-shaped O(N^3) scan as the
+// oracle and asserts the two byte-identical (including tie-breaks) across
+// all trace families.
 #pragma once
 
 #include <vector>
@@ -37,12 +37,6 @@ struct StaticGreedyOptions {
 /// final partition as sorted member lists, ordered by their smallest member
 /// (deterministic).
 std::vector<std::vector<ProcessId>> static_greedy_clusters(
-    const CommMatrix& comm, const StaticGreedyOptions& options);
-
-/// The paper-shaped O(N^3) all-pairs rescan. Kept as the executable
-/// specification: the heap implementation must produce a byte-identical
-/// partition (same clusters, same tie-break choices) for every input.
-std::vector<std::vector<ProcessId>> static_greedy_clusters_reference(
     const CommMatrix& comm, const StaticGreedyOptions& options);
 
 }  // namespace ct

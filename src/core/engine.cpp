@@ -323,10 +323,9 @@ std::size_t ClusterTimestampEngine::precedes_batch_metered(
 
   // Batch transpose: one resolve pass decodes each pair's arena row ONCE
   // and gathers the direct-test operands (bound, component) contiguously;
-  // the active dispatch tier then streams the comparisons 2-16 pairs per
-  // instruction. Pairs the direct test cannot decide (uncovered process:
-  // the probe walk) are answered scalar inline, charging exactly the ticks
-  // the sequential loop would.
+  // one batch_leq sweep then streams the comparisons. Pairs the direct test
+  // cannot decide (uncovered process: the probe walk) are answered scalar
+  // inline, charging exactly the ticks the sequential loop would.
   const ArenaSnapshot& snap = *snapshot();
   const EventIndex* pool = snap.arena.pool_data();
   const std::size_t n = pairs.size();

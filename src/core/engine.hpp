@@ -177,9 +177,8 @@ class ClusterTimestampEngine {
     /// Batched one-sided tests (out[i] = 0/1, same answers as the scalar
     /// calls above in order): one transpose pass resolves each x's arena
     /// row pointer once and gathers the direct-test operands contiguously,
-    /// then the active dispatch tier compares 2-16 pairs per instruction;
-    /// pairs the direct test cannot decide fall back to the scalar probe
-    /// walk inline.
+    /// then one batch_leq sweep compares them; pairs the direct test cannot
+    /// decide fall back to the scalar probe walk inline.
     void anchor_precedes_batch(std::span<const Event* const> xs,
                                std::uint8_t* out) const;
     void precedes_anchor_batch(std::span<const Event* const> xs,

@@ -1,117 +1,42 @@
 #include "core/precedence_kernels.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-
-#include "util/check.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define CT_KERNELS_X86 1
+#if defined(CT_KERNELS_X86)
 #include <immintrin.h>
 #endif
 
 namespace ct::kernels {
-namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar tier (the oracle, wrapped into the dispatch signature)
-// ---------------------------------------------------------------------------
-
-bool scalar_all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  return reference::all_leq(a, b, n);
-}
-
-void scalar_max_into(EventIndex* into, const EventIndex* other,
-                     std::size_t n) {
-  reference::max_into(into, other, n);
-}
-
-void scalar_batch_leq(const EventIndex* bounds, const EventIndex* comps,
-                      std::size_t n, std::uint8_t* out) {
-  reference::batch_leq(bounds, comps, n, out);
-}
-
-void scalar_batch_component_leq(EventIndex bound, std::size_t slot,
-                                const EventIndex* const* rows,
-                                std::size_t count, std::uint8_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint8_t>(bound <= rows[i][slot]);
+const char* to_string(KernelTier tier) {
+  switch (tier) {
+    case KernelTier::kScalar:
+      return "scalar";
+    case KernelTier::kAvx2:
+      return "avx2";
   }
+  return "unknown";
 }
 
-void scalar_batch_all_leq(const EventIndex* a, std::size_t width,
-                          const EventIndex* const* rows, std::size_t count,
-                          std::uint8_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint8_t>(reference::all_leq(a, rows[i], width));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SWAR tier (wraps the portable inline implementations)
-// ---------------------------------------------------------------------------
-
-bool swar_all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  return swar::all_leq(a, b, n);
-}
-
-void swar_max_into(EventIndex* into, const EventIndex* other, std::size_t n) {
-  swar::max_into(into, other, n);
-}
-
-void swar_batch_leq(const EventIndex* bounds, const EventIndex* comps,
-                    std::size_t n, std::uint8_t* out) {
-  swar::batch_leq(bounds, comps, n, out);
-}
-
-void swar_batch_component_leq(EventIndex bound, std::size_t slot,
-                              const EventIndex* const* rows, std::size_t count,
-                              std::uint8_t* out) {
-  // One load + compare per row; the rows were resolved (arena-decoded) once
-  // by the caller, so the loop body is pure data movement the compiler can
-  // software-pipeline.
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint8_t>(bound <= rows[i][slot]);
-  }
-}
-
-void swar_batch_all_leq(const EventIndex* a, std::size_t width,
-                        const EventIndex* const* rows, std::size_t count,
-                        std::uint8_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint8_t>(swar::all_leq(a, rows[i], width));
-  }
+KernelTier active_tier() {
+#if defined(CT_KERNELS_X86)
+  static const KernelTier kTier = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? KernelTier::kAvx2
+                                          : KernelTier::kScalar;
+  }();
+  return kTier;
+#else
+  return KernelTier::kScalar;
+#endif
 }
 
 #if defined(CT_KERNELS_X86)
+namespace avx2 {
 
-// ---------------------------------------------------------------------------
-// AVX2 tier: 8 lanes / 256-bit vector.
-//
-// There is no unsigned 32-bit compare before AVX-512, so a <= b is computed
-// as max_epu32(a, b) == b. Tails fall through to the SWAR/scalar code; the
-// SIMD body never reads past n.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) bool avx2_all_leq(const EventIndex* a,
-                                                  const EventIndex* b,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i eq = _mm256_cmpeq_epi32(_mm256_max_epu32(va, vb), vb);
-    if (_mm256_movemask_epi8(eq) != -1) return false;
-  }
-  return swar::all_leq(a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2"))) void avx2_max_into(EventIndex* into,
-                                                   const EventIndex* other,
-                                                   std::size_t n) {
+// The vector body never reads past n; the tail falls through to the scalar
+// loop.
+__attribute__((target("avx2"))) void max_into(EventIndex* into,
+                                              const EventIndex* other,
+                                              std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i va =
@@ -121,329 +46,28 @@ __attribute__((target("avx2"))) void avx2_max_into(EventIndex* into,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(into + i),
                         _mm256_max_epu32(va, vb));
   }
-  swar::max_into(into + i, other + i, n - i);
+  scalar::max_into(into + i, other + i, n - i);
 }
 
-/// Spreads the low 8 bits of `m` into 8 bytes of 0/1 (byte j = bit j):
-/// replicate m into every byte, isolate bit j in byte j, normalize to 0/1.
-inline std::uint64_t spread_mask8(unsigned m) {
-  std::uint64_t x = static_cast<std::uint64_t>(m & 0xffu) *
-                    0x0101'0101'0101'0101ull;
-  x &= 0x8040'2010'0804'0201ull;
-  return ((x + 0x7f7f'7f7f'7f7f'7f7full) >> 7) & 0x0101'0101'0101'0101ull;
-}
-
-__attribute__((target("avx2"))) void avx2_batch_leq(const EventIndex* bounds,
-                                                    const EventIndex* comps,
-                                                    std::size_t n,
-                                                    std::uint8_t* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bounds + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(comps + i));
-    const __m256i eq = _mm256_cmpeq_epi32(_mm256_max_epu32(vb, vc), vc);
-    const unsigned m = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    const std::uint64_t bytes = spread_mask8(m);
-    std::memcpy(out + i, &bytes, sizeof(bytes));
-  }
-  swar::batch_leq(bounds + i, comps + i, n - i, out + i);
-}
-
-__attribute__((target("avx2"))) void avx2_batch_component_leq(
-    EventIndex bound, std::size_t slot, const EventIndex* const* rows,
-    std::size_t count, std::uint8_t* out) {
-  // Gather the scattered components into a contiguous chunk, then stream
-  // the compare 8 lanes at a time against the broadcast bound.
-  constexpr std::size_t kChunk = 64;
-  alignas(32) EventIndex comps[kChunk];
-  const __m256i vbound = _mm256_set1_epi32(static_cast<int>(bound));
-  std::size_t base = 0;
-  while (base < count) {
-    const std::size_t len = count - base < kChunk ? count - base : kChunk;
-    for (std::size_t i = 0; i < len; ++i) {
-      comps[i] = rows[base + i][slot];
-    }
-    std::size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-      const __m256i vc =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(comps + i));
-      const __m256i eq = _mm256_cmpeq_epi32(_mm256_max_epu32(vbound, vc), vc);
-      const unsigned m = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-      const std::uint64_t bytes = spread_mask8(m);
-      std::memcpy(out + base + i, &bytes, sizeof(bytes));
-    }
-    for (; i < len; ++i) {
-      out[base + i] = static_cast<std::uint8_t>(bound <= comps[i]);
-    }
-    base += len;
-  }
-}
-
-__attribute__((target("avx2"))) void avx2_batch_all_leq(
-    const EventIndex* a, std::size_t width, const EventIndex* const* rows,
-    std::size_t count, std::uint8_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint8_t>(avx2_all_leq(a, rows[i], width));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512 tier: 16 lanes / 512-bit vector (requires F+BW+VL: native
-// unsigned compares-to-mask, masked tail loads, mask->byte expansion).
-// ---------------------------------------------------------------------------
-
-#define CT_AVX512_TARGET "avx512f,avx512bw,avx512vl"
-
-// GCC 12's _mm512_undefined_epi32 (used internally by unmasked intrinsics)
-// reads a deliberately-uninitialized dummy, which -Wmaybe-uninitialized
-// flags when the intrinsic is inlined here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-__attribute__((target(CT_AVX512_TARGET))) bool avx512_all_leq(
-    const EventIndex* a, const EventIndex* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    if (_mm512_cmple_epu32_mask(va, vb) != 0xffffu) return false;
-  }
-  if (i < n) {
-    const __mmask16 k =
-        static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __m512i va = _mm512_maskz_loadu_epi32(k, a + i);
-    const __m512i vb = _mm512_maskz_loadu_epi32(k, b + i);
-    if (_mm512_mask_cmple_epu32_mask(k, va, vb) != k) return false;
-  }
-  return true;
-}
-
-__attribute__((target(CT_AVX512_TARGET))) void avx512_max_into(
-    EventIndex* into, const EventIndex* other, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i va = _mm512_loadu_si512(into + i);
-    const __m512i vb = _mm512_loadu_si512(other + i);
-    _mm512_storeu_si512(into + i, _mm512_max_epu32(va, vb));
-  }
-  if (i < n) {
-    const __mmask16 k =
-        static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __m512i va = _mm512_maskz_loadu_epi32(k, into + i);
-    const __m512i vb = _mm512_maskz_loadu_epi32(k, other + i);
-    _mm512_mask_storeu_epi32(into + i, k, _mm512_max_epu32(va, vb));
-  }
-}
-
-__attribute__((target(CT_AVX512_TARGET))) void avx512_batch_leq(
-    const EventIndex* bounds, const EventIndex* comps, std::size_t n,
-    std::uint8_t* out) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i vb = _mm512_loadu_si512(bounds + i);
-    const __m512i vc = _mm512_loadu_si512(comps + i);
-    const __mmask16 m = _mm512_cmple_epu32_mask(vb, vc);
-    // mask -> 16 bytes of 0/1 in one masked broadcast.
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_maskz_set1_epi8(m, 1));
-  }
-  if (i < n) {
-    const __mmask16 k =
-        static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __m512i vb = _mm512_maskz_loadu_epi32(k, bounds + i);
-    const __m512i vc = _mm512_maskz_loadu_epi32(k, comps + i);
-    const __mmask16 m = _mm512_mask_cmple_epu32_mask(k, vb, vc);
-    _mm_mask_storeu_epi8(out + i, k, _mm_maskz_set1_epi8(m, 1));
-  }
-}
-
-__attribute__((target(CT_AVX512_TARGET))) void avx512_batch_component_leq(
-    EventIndex bound, std::size_t slot, const EventIndex* const* rows,
-    std::size_t count, std::uint8_t* out) {
-  constexpr std::size_t kChunk = 64;
-  alignas(64) EventIndex comps[kChunk];
-  const __m512i vbound = _mm512_set1_epi32(static_cast<int>(bound));
-  std::size_t base = 0;
-  while (base < count) {
-    const std::size_t len = count - base < kChunk ? count - base : kChunk;
-    for (std::size_t i = 0; i < len; ++i) {
-      comps[i] = rows[base + i][slot];
-    }
-    std::size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-      const __m512i vc = _mm512_loadu_si512(comps + i);
-      const __mmask16 m = _mm512_cmple_epu32_mask(vbound, vc);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + base + i),
-                       _mm_maskz_set1_epi8(m, 1));
-    }
-    if (i < len) {
-      const __mmask16 k =
-          static_cast<__mmask16>((1u << (len - i)) - 1u);
-      const __m512i vc = _mm512_maskz_loadu_epi32(k, comps + i);
-      const __mmask16 m = _mm512_mask_cmple_epu32_mask(k, vbound, vc);
-      _mm_mask_storeu_epi8(out + base + i, k, _mm_maskz_set1_epi8(m, 1));
-    }
-    base += len;
-  }
-}
-
-__attribute__((target(CT_AVX512_TARGET))) void avx512_batch_all_leq(
-    const EventIndex* a, std::size_t width, const EventIndex* const* rows,
-    std::size_t count, std::uint8_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint8_t>(avx512_all_leq(a, rows[i], width));
-  }
-}
-
-#pragma GCC diagnostic pop
-
+}  // namespace avx2
 #endif  // CT_KERNELS_X86
 
-// ---------------------------------------------------------------------------
-// Dispatch tables + selection
-// ---------------------------------------------------------------------------
-
-constexpr KernelOps kScalarOps = {scalar_all_leq, scalar_max_into,
-                                  scalar_batch_leq, scalar_batch_component_leq,
-                                  scalar_batch_all_leq};
-
-constexpr KernelOps kSwarOps = {swar_all_leq, swar_max_into, swar_batch_leq,
-                                swar_batch_component_leq, swar_batch_all_leq};
-
+void max_into(EventIndex* into, const EventIndex* other, std::size_t n) {
 #if defined(CT_KERNELS_X86)
-constexpr KernelOps kAvx2Ops = {avx2_all_leq, avx2_max_into, avx2_batch_leq,
-                                avx2_batch_component_leq, avx2_batch_all_leq};
-
-constexpr KernelOps kAvx512Ops = {avx512_all_leq, avx512_max_into,
-                                  avx512_batch_leq, avx512_batch_component_leq,
-                                  avx512_batch_all_leq};
-#endif
-
-std::atomic<KernelTier> g_active_tier{KernelTier::kSwar};
-
-KernelTier detect_widest_tier() {
-#if defined(CT_KERNELS_X86)
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return KernelTier::kAvx512;
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return KernelTier::kAvx2;
+  static const bool kAvx2 = active_tier() == KernelTier::kAvx2;
+  if (kAvx2) {
+    avx2::max_into(into, other, n);
+    return;
   }
 #endif
-  return KernelTier::kSwar;
+  scalar::max_into(into, other, n);
 }
 
-const KernelOps* table_for(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kScalar:
-      return &kScalarOps;
-    case KernelTier::kSwar:
-      return &kSwarOps;
-#if defined(CT_KERNELS_X86)
-    case KernelTier::kAvx2:
-      return &kAvx2Ops;
-    case KernelTier::kAvx512:
-      return &kAvx512Ops;
-#else
-    case KernelTier::kAvx2:
-    case KernelTier::kAvx512:
-      return &kSwarOps;
-#endif
+void batch_leq(const EventIndex* bounds, const EventIndex* comps,
+               std::size_t n, std::uint8_t* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(bounds[i] <= comps[i]);
   }
-  return &kSwarOps;
 }
-
-KernelTier clamp_to_supported(KernelTier tier) {
-  const KernelTier widest = widest_supported_tier();
-  return tier <= widest ? tier : widest;
-}
-
-KernelTier initial_tier() {
-  KernelTier tier = widest_supported_tier();
-  if (const char* env = std::getenv("CT_KERNEL_TIER")) {
-    KernelTier requested;
-    CT_CHECK_MSG(parse_kernel_tier(env, &requested),
-                 "CT_KERNEL_TIER must be scalar|swar|avx2|avx512");
-    if (requested > tier) {
-      std::fprintf(stderr,
-                   "[kernels] CT_KERNEL_TIER=%s unsupported on this CPU; "
-                   "clamping to %s\n",
-                   env, to_string(tier));
-    } else {
-      tier = requested;
-    }
-  }
-  return tier;
-}
-
-}  // namespace
-
-const char* to_string(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kScalar:
-      return "scalar";
-    case KernelTier::kSwar:
-      return "swar";
-    case KernelTier::kAvx2:
-      return "avx2";
-    case KernelTier::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
-}
-
-bool parse_kernel_tier(std::string_view name, KernelTier* out) {
-  if (name == "scalar") {
-    *out = KernelTier::kScalar;
-  } else if (name == "swar") {
-    *out = KernelTier::kSwar;
-  } else if (name == "avx2") {
-    *out = KernelTier::kAvx2;
-  } else if (name == "avx512") {
-    *out = KernelTier::kAvx512;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-KernelTier widest_supported_tier() {
-  static const KernelTier kWidest = detect_widest_tier();
-  return kWidest;
-}
-
-const KernelOps& ops_for_tier(KernelTier tier) {
-  return *table_for(clamp_to_supported(tier));
-}
-
-KernelTier active_tier() {
-  detail::ops();  // force first-use initialization
-  return g_active_tier.load(std::memory_order_acquire);
-}
-
-KernelTier set_kernel_tier(KernelTier tier) {
-  const KernelTier actual = clamp_to_supported(tier);
-  g_active_tier.store(actual, std::memory_order_release);
-  detail::g_active_ops.store(table_for(actual), std::memory_order_release);
-  return actual;
-}
-
-namespace detail {
-
-std::atomic<const KernelOps*> g_active_ops{nullptr};
-
-const KernelOps* init_active_ops() {
-  static std::once_flag once;
-  std::call_once(once, [] { set_kernel_tier(initial_tier()); });
-  return g_active_ops.load(std::memory_order_acquire);
-}
-
-}  // namespace detail
 
 }  // namespace ct::kernels

@@ -1,33 +1,19 @@
-// Vector precedence kernels with runtime dispatch.
+// Vector precedence kernels.
 //
 // The precedence tests of every backend reduce to a handful of primitive
 // operations over vectors of 32-bit components: "is a[i] <= b[i] for all i",
-// "component at slot s versus a bound", and "into = max(into, other)". The
-// portable floor processes two components per 64-bit word with branch-free
-// SWAR arithmetic (Hacker's-Delight-style carry capture, no inter-lane
-// borrow); on x86-64 the dispatcher upgrades the hot entry points to AVX2
-// (8 lanes) or AVX-512 (16 lanes) variants selected ONCE at first use via
-// CPUID into a function-pointer table. All tiers are bit-identical — same
-// answers, same early-exit observable behavior — so "faster, never
-// different" holds across hardware; the scalar/SWAR tiers remain the test
-// oracle and the portable fallback for non-x86 builds.
+// "component at slot s versus a bound", and "into = max(into, other)". Each
+// is a plain scalar loop: the portable path and the test reference. One op
+// also has an 8-lane AVX2 body, selected ONCE by CPUID on x86-64: max_into,
+// the Fidge/Mattern join that cold-start replay runs over full-width
+// vectors, the only op whose lane width pays end to end (docs/PERF.md §7).
+// That body is byte-identical to its scalar loop, which
+// tests/perf_layer_test.cpp checks on the edge values 0, 2^31 and 2^32-1,
+// every length from 0 to 40, and unaligned bases.
 //
-// Tier selection:
-//   * widest_supported_tier() probes CPUID (__builtin_cpu_supports); the
-//     AVX-512 tier requires F+BW+VL (mask loads and mask->byte expansion);
-//   * the CT_KERNEL_TIER env var (scalar|swar|avx2|avx512) caps the tier for
-//     tests/benches; requesting an unsupported tier clamps down with a
-//     one-line stderr notice; an unknown value aborts loudly;
-//   * set_kernel_tier() does the same programmatically and returns the tier
-//     actually activated. Selection is thread-safe (atomic table pointer)
-//     but intended for startup/test use, not concurrent flipping.
-//
-// Contracts (asserted by tests/perf_layer_test.cpp against scalar
-// references, including the edge values 0, 2^31, 2^32-1, every length
-// straddling the 2-/8-/16-lane boundaries, and unaligned bases):
+// Contracts:
 //   * all ops treat components as unsigned 32-bit values over the FULL range;
-//   * no kernel reads past `n` elements; unaligned bases are allowed (SWAR
-//     loads go through memcpy, SIMD tiers use unaligned/masked loads);
+//   * no kernel reads past `n` elements; unaligned bases are allowed;
 //   * kernels never allocate and never touch errno/FP state.
 //
 // The single-component FM fast path (component_leq) is deliberately tiny and
@@ -38,204 +24,64 @@
 // branch-free scalar CMOV and gains nothing from lanes.
 #pragma once
 
-#include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <string_view>
 
 #include "model/ids.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#define CT_KERNELS_X86 1
+#endif
+
 namespace ct::kernels {
 
-// ---------------------------------------------------------------------------
-// Dispatch tiers
-// ---------------------------------------------------------------------------
-
 enum class KernelTier : std::uint8_t {
-  kScalar = 0,  ///< plain loops (reference oracle)
-  kSwar = 1,    ///< 2 lanes / 64-bit word, portable
-  kAvx2 = 2,    ///< 8 lanes / 256-bit vector (x86-64)
-  kAvx512 = 3,  ///< 16 lanes / 512-bit vector (x86-64, F+BW+VL)
+  kScalar = 0,  ///< plain loops (portable; the test reference)
+  kAvx2 = 1,    ///< max_into in 8 lanes / 256-bit vectors (x86-64)
 };
 
 const char* to_string(KernelTier tier);
 
-/// Parses "scalar" | "swar" | "avx2" | "avx512"; false on anything else.
-bool parse_kernel_tier(std::string_view name, KernelTier* out);
-
-/// Widest tier this CPU can execute (independent of any override).
-KernelTier widest_supported_tier();
-
-inline bool tier_supported(KernelTier tier) {
-  return tier <= widest_supported_tier();
-}
-
-/// The tier the dispatch table currently routes to (after the CT_KERNEL_TIER
-/// override has been applied on first use).
+/// kAvx2 when this CPU executes AVX2 (probed once), else kScalar.
 KernelTier active_tier();
 
-/// Routes dispatch to `tier`, clamped to the widest supported tier; returns
-/// the tier actually activated.
-KernelTier set_kernel_tier(KernelTier tier);
-
-/// The per-tier entry points behind the dispatching wrappers below. All
-/// implementations are bit-identical; only throughput differs.
-struct KernelOps {
-  bool (*all_leq)(const EventIndex* a, const EventIndex* b, std::size_t n);
-  void (*max_into)(EventIndex* into, const EventIndex* other, std::size_t n);
-  void (*batch_leq)(const EventIndex* bounds, const EventIndex* comps,
-                    std::size_t n, std::uint8_t* out);
-  void (*batch_component_leq)(EventIndex bound, std::size_t slot,
-                              const EventIndex* const* rows, std::size_t count,
-                              std::uint8_t* out);
-  void (*batch_all_leq)(const EventIndex* a, std::size_t width,
-                        const EventIndex* const* rows, std::size_t count,
-                        std::uint8_t* out);
-};
-
-/// Dispatch table for a specific tier (tiers above the supported widest are
-/// clamped). Lets identity tests compare tiers without flipping the global.
-const KernelOps& ops_for_tier(KernelTier tier);
-
-namespace detail {
-extern std::atomic<const KernelOps*> g_active_ops;
-const KernelOps* init_active_ops();  // applies CT_KERNEL_TIER, then CPUID
-inline const KernelOps& ops() {
-  const KernelOps* p = g_active_ops.load(std::memory_order_acquire);
-  return p != nullptr ? *p : *init_active_ops();
-}
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// SWAR tier (also the inline portable floor; public for direct use/tests)
-// ---------------------------------------------------------------------------
-
-/// High bit of each 32-bit lane in a 64-bit word.
-inline constexpr std::uint64_t kLaneHigh = 0x8000'0000'8000'0000ull;
-
-/// Per-lane unsigned "x < y" over two 32-bit lanes: returns a mask with the
-/// HIGH bit of each lane set where that lane of `x` is below `y`.
-/// Branch-free: `t` computes (x_lo + 2^31) - y_lo per lane (minuend's lane
-/// high bit forced, subtrahend's cleared, so no borrow crosses lanes); the
-/// lane's high bit of `t` is then "no borrow" for the low 31 bits, and the
-/// usual sign-case split on the real high bits finishes the comparison.
-inline std::uint64_t lane_lt_mask(std::uint64_t x, std::uint64_t y) {
-  const std::uint64_t t = (x | kLaneHigh) - (y & ~kLaneHigh);
-  return ((~x & y) | (~(x ^ y) & ~t)) & kLaneHigh;
-}
-
-/// Loads two consecutive 32-bit components as one 64-bit word (byte order is
-/// irrelevant: both sides of every comparison load the same way).
-inline std::uint64_t load_word(const EventIndex* p) {
-  std::uint64_t w;
-  std::memcpy(&w, p, sizeof(w));
-  return w;
-}
-
-namespace swar {
-
-/// True iff a[i] <= b[i] for every i < n. Word-parallel: two lanes per
-/// iteration, scalar tail for odd n. Early-exits per word (a violated word
-/// is final), which in practice fires within the first cache line for
-/// concurrent events.
-inline bool all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // any lane of a > b  <=>  some lane of b < a.
-    if (lane_lt_mask(load_word(b + i), load_word(a + i)) != 0) return false;
+namespace scalar {
+/// max_into's scalar loop: the portable path and the reference its AVX2
+/// body must match byte for byte.
+inline void max_into(EventIndex* into, const EventIndex* other,
+                     std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (other[i] > into[i]) into[i] = other[i];
   }
-  if (i < n && a[i] > b[i]) return false;
+}
+}  // namespace scalar
+
+#if defined(CT_KERNELS_X86)
+namespace avx2 {
+/// max_into's AVX2 body. Call it only when active_tier() is kAvx2.
+void max_into(EventIndex* into, const EventIndex* other, std::size_t n);
+}  // namespace avx2
+#endif
+
+/// True iff a[i] <= b[i] for every i < n (vector dominance). Early-exits at
+/// the first violated component.
+inline bool all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a[i] > b[i]) return false;
+  }
   return true;
 }
 
-/// into = max(into, other), element-wise, word-parallel. The lane-lt mask is
-/// widened to full lanes (m - (m >> 31) | m turns a lane's high bit into an
-/// all-ones lane without crossing lane boundaries) and used as a blend.
-inline void max_into(EventIndex* into, const EventIndex* other,
-                     std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const std::uint64_t a = load_word(into + i);
-    const std::uint64_t b = load_word(other + i);
-    const std::uint64_t m = lane_lt_mask(a, b);  // lanes where a < b
-    const std::uint64_t full = (m - (m >> 31)) | m;
-    const std::uint64_t r = (a & ~full) | (b & full);
-    std::memcpy(into + i, &r, sizeof(r));
-  }
-  if (i < n && other[i] > into[i]) into[i] = other[i];
-}
-
-/// Pairwise bound test: out[i] = (bounds[i] <= comps[i]), two lanes per
-/// word. The lane-lt mask's per-lane high bits (bit 31 and bit 63) are the
-/// violation flags; a violated lane produces 0.
-inline void batch_leq(const EventIndex* bounds, const EventIndex* comps,
-                      std::size_t n, std::uint8_t* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // lanes where comps < bounds, i.e. the bound test FAILS.
-    const std::uint64_t m = lane_lt_mask(load_word(comps + i),
-                                         load_word(bounds + i));
-    out[i] = static_cast<std::uint8_t>((m & (1ull << 31)) == 0);
-    out[i + 1] = static_cast<std::uint8_t>((m >> 63) == 0);
-  }
-  if (i < n) out[i] = static_cast<std::uint8_t>(bounds[i] <= comps[i]);
-}
-
-}  // namespace swar
-
-// ---------------------------------------------------------------------------
-// Dispatching entry points (the public kernel API)
-// ---------------------------------------------------------------------------
-
-/// True iff a[i] <= b[i] for every i < n (vector dominance).
-inline bool all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  return detail::ops().all_leq(a, b, n);
-}
-
-/// True iff some a[i] > b[i] (the negation of all_leq, exposed for callers
-/// that read better in that polarity).
-inline bool any_gt(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  return !all_leq(a, b, n);
-}
-
-/// into = max(into, other), element-wise.
-inline void max_into(EventIndex* into, const EventIndex* other,
-                     std::size_t n) {
-  detail::ops().max_into(into, other, n);
-}
+/// into = max(into, other), element-wise: the Fidge/Mattern join.
+void max_into(EventIndex* into, const EventIndex* other, std::size_t n);
 
 /// Pairwise bound test over transposed operands: out[i] = (bounds[i] <=
 /// comps[i]). This is the streaming core of the batch-transpose path: the
-/// caller resolves arena rows once, gathers the per-pair component values
-/// contiguously, and the widest tier compares 8-16 pairs per instruction.
-inline void batch_leq(const EventIndex* bounds, const EventIndex* comps,
-                      std::size_t n, std::uint8_t* out) {
-  detail::ops().batch_leq(bounds, comps, n, out);
-}
-
-/// Batched single-component test: out[i] = (bound <= rows[i][slot]) for a
-/// batch of row base pointers. Amortizes the per-call overhead of the
-/// frontier's repeated tests against the same covered set; row pointers are
-/// resolved once by the caller (arena handles decoded a single time).
-inline void batch_component_leq(EventIndex bound, std::size_t slot,
-                                const EventIndex* const* rows,
-                                std::size_t count, std::uint8_t* out) {
-  detail::ops().batch_component_leq(bound, slot, rows, count, out);
-}
-
-/// Batched whole-vector dominance: out[i] = all_leq(a, rows[i], width).
-/// Used by store-level sweeps (integrity audits, oracle cross-checks) where
-/// one query row is compared against many stored rows of equal width.
-inline void batch_all_leq(const EventIndex* a, std::size_t width,
-                          const EventIndex* const* rows, std::size_t count,
-                          std::uint8_t* out) {
-  detail::ops().batch_all_leq(a, width, rows, count, out);
-}
-
-// ---------------------------------------------------------------------------
-// Always-inline scalar primitives (no dispatch: lanes cannot help these)
-// ---------------------------------------------------------------------------
+/// caller resolves arena rows once and gathers the per-pair component
+/// values contiguously.
+void batch_leq(const EventIndex* bounds, const EventIndex* comps,
+               std::size_t n, std::uint8_t* out);
 
 /// The single-component Fidge/Mattern fast path: FM(e)[p_e] equals e's own
 /// index, so e -> f over a row that covers slot `slot` is exactly
@@ -262,31 +108,5 @@ inline std::size_t count_leq(const EventIndex* sorted, std::size_t n,
   }
   return pos;
 }
-
-/// Scalar reference implementations (test oracles; intentionally naive).
-namespace reference {
-
-inline bool all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] > b[i]) return false;
-  }
-  return true;
-}
-
-inline void max_into(EventIndex* into, const EventIndex* other,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (other[i] > into[i]) into[i] = other[i];
-  }
-}
-
-inline void batch_leq(const EventIndex* bounds, const EventIndex* comps,
-                      std::size_t n, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>(bounds[i] <= comps[i]);
-  }
-}
-
-}  // namespace reference
 
 }  // namespace ct::kernels

@@ -223,6 +223,17 @@ std::vector<std::size_t> SimulatedStorage::rename_points() const {
   return points;
 }
 
+std::vector<std::size_t> SimulatedStorage::namespace_points() const {
+  std::vector<std::size_t> points;
+  for (std::size_t i = 0; i < journal_.size(); ++i) {
+    const OpKind kind = journal_[i].kind;
+    if (kind != OpKind::kAppend && kind != OpKind::kSync) {
+      points.push_back(i + 1);
+    }
+  }
+  return points;
+}
+
 std::unique_ptr<SimulatedStorage> SimulatedStorage::materialize(
     const CrashSpec& spec) const {
   const std::size_t cut = std::min(spec.cut, journal_.size());

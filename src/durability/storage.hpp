@@ -167,6 +167,11 @@ class SimulatedStorage final : public StorageBackend {
   /// kStaleRename cuts (a half-published snapshot generation).
   std::vector<std::size_t> rename_points() const;
 
+  /// Journal positions immediately AFTER each namespace op (kCreate,
+  /// kSyncDir, kRename, kRemove) — the cuts between a name becoming
+  /// durable and the bytes or names that follow it.
+  std::vector<std::size_t> namespace_points() const;
+
   /// The disk image a crash at `spec` leaves behind, as a fresh storage
   /// whose contents are fully durable (recovery then runs against it).
   /// Deterministic: equal (journal, spec) gives byte-identical images.

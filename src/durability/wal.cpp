@@ -125,6 +125,17 @@ std::string encode_migration_intent(const WalMigration& m) {
   return payload;
 }
 
+bool headerless_segment(std::string_view data, std::uint64_t segment_seq) {
+  std::string head(kSegmentMagic, 4);
+  put_varint(head, segment_seq);
+  if (data.size() <= head.size()) {
+    return head.compare(0, data.size(), data) == 0;
+  }
+  // Magic and segment seq complete: the first-seq varint must be cut short.
+  return data.compare(0, head.size(), head) == 0 &&
+         try_get_varint(data, head.size()).error == VarintError::kTruncated;
+}
+
 std::string encode_record(const Event& e) {
   std::string payload;
   put_varint(payload, e.id.process);
@@ -164,6 +175,10 @@ WalScan scan_wal(const StorageBackend& storage, std::uint64_t from_seq,
 
   for (const auto& [seg_seq, name] : segments) {
     const std::string data = storage.read(name);
+    // No record can follow a header that never reached disk, so the
+    // segment is an empty tail. It attests no log position either; a later
+    // segment's chaining check below still catches a real gap.
+    if (headerless_segment(data, seg_seq)) continue;
     ++scan.segments_scanned;
 
     // ---- header ----
@@ -412,6 +427,14 @@ DurableLog::DurableLog(StorageBackend& storage, WalOptions options,
     }
   }
   segment_seq_ = any ? max_segment + 1 : 1;
+  // A last segment whose header never reached disk is reopened under its
+  // own number (create truncates it), so it never ends up mid-log.
+  if (any &&
+      wal::headerless_segment(
+          storage_.read(wal::segment_object_name(max_segment, options_.ns)),
+          max_segment)) {
+    segment_seq_ = max_segment;
+  }
   open_segment(resume_seq);
 }
 

@@ -53,6 +53,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster_set.hpp"
@@ -127,6 +128,8 @@ class DurableLog {
   /// is the next record sequence (0 for an empty log; after a crash, pass
   /// RecoveryReport::recovered_seq — the new segment chains onto the
   /// recovered prefix and the possibly-torn old tail is never appended to).
+  /// A last segment that crashed before its header reached disk holds no
+  /// record; it is reopened under its own number rather than left mid-log.
   DurableLog(StorageBackend& storage, WalOptions options,
              std::uint64_t resume_seq = 0);
 
@@ -210,6 +213,13 @@ std::string tenant_namespace(std::uint32_t tenant);
 
 /// True when `ns` is usable as an object-name prefix (no '/', no NUL).
 bool valid_namespace(const std::string& ns);
+
+/// True when `data` is a strict prefix of segment `segment_seq`'s header
+/// (empty, or a torn header append): what a crash between open_segment's
+/// sync_dir and the header reaching disk leaves behind. Such a segment
+/// holds no record; scan_wal reads it as an empty tail and a restarted
+/// DurableLog reopens it.
+bool headerless_segment(std::string_view data, std::uint64_t segment_seq);
 
 /// Serializes one record payload (no frame).
 std::string encode_record(const Event& e);

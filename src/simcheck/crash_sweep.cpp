@@ -170,6 +170,14 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
     sample_appends(params.mapped_rot_samples, CrashFault::kMappedRot);
   }
   points.push_back(Point{sim.op_count(), CrashFault::kClean, prng(), true});
+  // A power cut just past every namespace op, whatever the policy: the
+  // moment a name is durable but the bytes that should follow it are not
+  // (a segment created and dir-synced before its header append, a snapshot
+  // created before its payload, a rename or removal before its sync_dir).
+  for (const std::size_t cut : sim.namespace_points()) {
+    points.push_back(Point{cut, CrashFault::kLostSuffix, prng(), false});
+    ++report.namespace_points;
+  }
 
   // ---- sweep -------------------------------------------------------------
   for (const Point& point : points) {

@@ -3,7 +3,8 @@
 // One sweep takes a generated schedule (generator.hpp), runs it against a
 // live monitor whose deliveries feed a write-ahead log on SimulatedStorage
 // (the recording pass), then crashes the storage at many points — every
-// sync boundary, plus sampled mid-record torn writes, bit flips, and stale
+// sync boundary, just past every namespace op (create, sync_dir, rename,
+// remove), plus sampled mid-record torn writes, bit flips, and stale
 // segments — and recovers from each crashed image. For every crash point it
 // checks, against a recovery of the *perfect* image at the same cut (what an
 // ideal disk would have kept):
@@ -66,8 +67,11 @@ struct CrashSweepParams {
 
 struct CrashSweepReport {
   std::size_t sync_boundary_points = 0;
+  std::size_t namespace_points = 0;  ///< cuts just past a namespace op
   std::size_t torn_points = 0;   ///< mid-record cuts actually checked
-  std::size_t other_points = 0;  ///< short-write / bit-rot / stale-segment
+  /// Every other cut checked: short-write, bit-rot, stale-segment,
+  /// stale-rename, mapped-rot and namespace-op.
+  std::size_t other_points = 0;
   std::size_t crash_points = 0;  ///< total crash points checked
   std::uint64_t records_lost = 0;  ///< summed over all crash points
   std::uint64_t migrations_committed = 0;    ///< recording-pass commits

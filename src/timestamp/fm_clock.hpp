@@ -15,9 +15,9 @@ namespace ct {
 /// FM(e)[p_e] equals e's own index within its process.
 using FmClock = std::vector<EventIndex>;
 
-/// Element-wise maximum: into = max(into, other). Word-parallel (two lanes
-/// per 64-bit word, branch-free blend) — this is the inner loop of every
-/// FM-engine receive and of on-demand reconstruction.
+/// Element-wise maximum: into = max(into, other). The inner loop of every
+/// FM-engine receive and of on-demand reconstruction, so it runs the AVX2
+/// body where the CPU has one (core/precedence_kernels.hpp).
 inline void clock_max(FmClock& into, const FmClock& other) {
   CT_DCHECK(into.size() == other.size());
   kernels::max_into(into.data(), other.data(), into.size());

@@ -35,7 +35,7 @@ FmClock OnDemandFmEngine::combine(
     const auto it = local.find(dep);
     const FmClock* c = it != local.end() ? &it->second : cache_.get(dep);
     CT_CHECK_MSG(c != nullptr, "dependency " << dep << " not computed");
-    kernels::max_into(clock.data(), c->data(), n);  // word-parallel fold
+    kernels::max_into(clock.data(), c->data(), n);
   };
   for (const EventId dep : dependencies(id)) absorb(dep);
   const Event& e = trace_.event(id);

@@ -15,7 +15,7 @@
 // one flat node pool indexed by process id (tid == slot), sibling lists as
 // int32 links inside the pool. A clock for N processes is one contiguous
 // allocation, a deep copy is a memcpy, and flatten_into() exports the clk
-// column as a plain lane vector for the SWAR/SIMD kernels
+// column as a plain lane vector for the vector kernels
 // (core/precedence_kernels.hpp).
 //
 // TreeClockStore (tree_clock_store.hpp) drives these through a trace and is

@@ -66,7 +66,7 @@ class TreeClockStore {
   }
 
   /// Full-row domination (FM(e) <= FM(f) pointwise) through the
-  /// kernel-dispatched all_leq — the flatten-to-lanes adapter.
+  /// all_leq kernel — the flatten-to-lanes adapter.
   bool dominated_by(EventId e, EventId f) const;
 
   /// Final tree clock of process `p` after the whole trace (tests).

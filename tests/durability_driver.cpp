@@ -2,13 +2,13 @@
 //
 // Sweep mode (default): expands --schedules seeds into randomized schedules
 // (simcheck/generator.hpp), records each through a monitor + write-ahead log
-// on simulated storage, and crashes the storage at every sync boundary plus
-// sampled mid-record torn writes, short writes, bit flips, and stale
-// segments (simcheck/crash_sweep.hpp), verifying prefix-consistent recovery,
-// loss accounting, and answer identity at each point. On a failure the
-// schedule is delta-minimized against the sweep (simcheck/shrink.hpp), saved
-// as a .ctsim replay under --out-dir, and the repro command line is printed;
-// exit code 1.
+// on simulated storage, and crashes the storage at every sync boundary and
+// just past every namespace op, plus sampled mid-record torn writes, short
+// writes, bit flips, and stale segments (simcheck/crash_sweep.hpp),
+// verifying prefix-consistent recovery, loss accounting, and answer
+// identity at each point. On a failure the schedule is delta-minimized
+// against the sweep (simcheck/shrink.hpp), saved as a .ctsim replay under
+// --out-dir, and the repro command line is printed; exit code 1.
 //
 // Replay mode (--replay=file.ctsim): re-runs the sweep on one saved replay.
 //
@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
           .count();
     };
 
-    std::size_t ran = 0, points = 0, sync_points = 0, torn_points = 0;
+    std::size_t ran = 0, points = 0, sync_points = 0, namespace_points = 0,
+                torn_points = 0;
     std::uint64_t total_checks = 0, total_lost = 0;
     std::uint64_t migrations = 0, rollbacks = 0;
     std::size_t generations = 0, quarantined = 0;
@@ -113,6 +114,7 @@ int main(int argc, char** argv) {
       ++ran;
       points += report.crash_points;
       sync_points += report.sync_boundary_points;
+      namespace_points += report.namespace_points;
       torn_points += report.torn_points;
       total_checks += report.checks;
       total_lost += report.records_lost;
@@ -125,13 +127,15 @@ int main(int argc, char** argv) {
       rung_wal += report.ladder_wal;
       if (verbose) {
         std::printf(
-            "schedule %llu (%s): %zu crash points (%zu sync, %zu torn), "
+            "schedule %llu (%s): %zu crash points (%zu sync, %zu namespace, "
+            "%zu torn), "
             "%llu lost, %llu migrations (+%llu rolled back), "
             "%zu generations, rungs %zu/%zu/%zu, %zu quarantined, "
             "%llu checks\n",
             static_cast<unsigned long long>(schedule_seed),
             schedule.name.c_str(), report.crash_points,
-            report.sync_boundary_points, report.torn_points,
+            report.sync_boundary_points, report.namespace_points,
+            report.torn_points,
             static_cast<unsigned long long>(report.records_lost),
             static_cast<unsigned long long>(report.migrations_committed),
             static_cast<unsigned long long>(report.migrations_rolled_back),
@@ -173,12 +177,13 @@ int main(int argc, char** argv) {
 
     std::printf(
         "durability OK: %zu schedules, %zu crash points "
-        "(%zu sync boundaries, %zu mid-record), %llu records lost+accounted, "
+        "(%zu sync boundaries, %zu namespace ops, %zu mid-record), "
+        "%llu records lost+accounted, "
         "%llu migrations committed (%llu rolled back), "
         "%zu generations published, ladder rungs mapped/snapshot/wal "
         "%zu/%zu/%zu, %zu snapshots quarantined, %llu checks, %.1fs "
         "[policy %s]\n",
-        ran, points, sync_points, torn_points,
+        ran, points, sync_points, namespace_points, torn_points,
         static_cast<unsigned long long>(total_lost),
         static_cast<unsigned long long>(migrations),
         static_cast<unsigned long long>(rollbacks), generations, rung_mapped,

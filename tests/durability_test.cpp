@@ -16,8 +16,13 @@
 #include "monitor/monitor.hpp"
 #include "simcheck/crash_sweep.hpp"
 #include "simcheck/generator.hpp"
+#include "simcheck/replay_io.hpp"
 #include "simcheck/schedule.hpp"
 #include "util/check.hpp"
+
+#ifndef CT_SIMCHECK_CORPUS_DIR
+#error "CT_SIMCHECK_CORPUS_DIR must point at tests/simcheck_corpus"
+#endif
 
 namespace ct {
 namespace {
@@ -369,6 +374,77 @@ TEST(Wal, MissingMiddleSegmentStopsPrefixConsistent) {
   EXPECT_LT(rec.report.recovered_seq, stream.size());
 }
 
+// Opening a segment is create -> sync_dir -> append(header), so a crash just
+// past a rotation's sync_dir leaves a durable last segment with no header.
+// It holds no record: recovery reads it as an empty tail, and a restarted
+// log reopens it instead of leaving it mid-log.
+TEST(Wal, HeaderlessLastSegmentIsAnEmptyTailAndIsReopened) {
+  const std::vector<Event> stream = small_stream(4, 40);
+  SimulatedStorage sim;
+  WalOptions wo;
+  wo.policy = SyncPolicy::kEveryRecord;
+  wo.segment_bytes = 256;  // force many rotations
+  record_stream(stream, 4, sim, wo);
+
+  std::size_t headerless = 0;
+  for (const std::size_t cut : sim.namespace_points()) {
+    const auto img = sim.materialize({cut, CrashFault::kClean, 0});
+    const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+    ASSERT_FALSE(rec.report.truncated)
+        << "cut " << cut << ": " << rec.report.truncate_detail;
+    EXPECT_TRUE(rec.monitor->health().accounted());
+
+    const std::string last = img->list().back();  // segments only
+    const std::uint64_t last_seq = *wal::parse_segment_name(last);
+    if (!wal::headerless_segment(img->read(last), last_seq)) continue;
+    ++headerless;
+
+    const std::uint64_t resume = rec.report.recovered_seq;
+    DurableLog restarted(*img, wo, resume);
+    EXPECT_EQ(restarted.segment_name(), last) << "cut " << cut;
+    rec.monitor->set_delivery_tap(
+        [&restarted](const Event& e) { restarted.append(e); });
+    for (std::size_t i = resume; i < stream.size(); ++i) {
+      rec.monitor->ingest(stream[i]);
+    }
+    for (const std::string& name : img->list()) {
+      EXPECT_FALSE(wal::headerless_segment(
+          img->read(name), *wal::parse_segment_name(name)))
+          << name << " left header-less at cut " << cut;
+    }
+    const RecoveredMonitor again = recover_monitor(*img, 4, options_for(4));
+    EXPECT_FALSE(again.report.truncated) << again.report.truncate_detail;
+    EXPECT_EQ(again.report.recovered_seq, stream.size()) << "cut " << cut;
+  }
+  EXPECT_GT(headerless, 0u);
+}
+
+// An empty segment is no licence to skip records: the segment after it
+// must still chain onto the records read so far.
+TEST(Wal, HeaderlessMiddleSegmentStillStopsAtTheGapAfterIt) {
+  const std::vector<Event> stream = small_stream(4, 40);
+  SimulatedStorage sim;
+  WalOptions wo;
+  wo.policy = SyncPolicy::kEveryN;
+  wo.sync_every = 4;
+  wo.segment_bytes = 256;
+  record_stream(stream, 4, sim, wo);
+  std::vector<std::string> segments;
+  for (const std::string& name : sim.list()) {
+    if (wal::parse_segment_name(name)) segments.push_back(name);
+  }
+  ASSERT_GT(segments.size(), 2u);
+  sim.create(segments[1]);  // truncates: its records are gone
+
+  const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
+  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  EXPECT_TRUE(rec.report.truncated);
+  EXPECT_NE(rec.report.truncate_detail.find("gap"), std::string::npos)
+      << rec.report.truncate_detail;
+  EXPECT_TRUE(rec.monitor->health().accounted());
+  EXPECT_LT(rec.report.recovered_seq, stream.size());
+}
+
 TEST(Wal, CheckpointPrunesCoveredSegmentsAndStaleSnapshots) {
   const std::vector<Event> stream = small_stream(4, 60);
   SimulatedStorage sim;
@@ -583,6 +659,25 @@ TEST(CrashSweep, EveryRecordPolicyHoldsItsGuarantee) {
   const CrashSweepReport report = run_crash_sweep(schedule, params);
   ASSERT_TRUE(report.ok())
       << report.divergence->config << ": " << report.divergence->detail;
+}
+
+// The CI every-record sweep's failure, shrunk: schedule sim-s111 crashed
+// at cut 493, between a rotation's create and its header append, and the
+// perfect image there did not recover cleanly. The namespace-op points cut
+// in that window directly.
+TEST(CrashSweep, HeaderlessLastSegmentRecoversAtEveryNamespaceOp) {
+  const SimSchedule schedule = load_replay(
+      std::string(CT_SIMCHECK_CORPUS_DIR) +
+      "/durability/every-record-s111.ctsim");
+  CrashSweepParams params;
+  params.policy = SyncPolicy::kEveryRecord;
+  params.torn_samples = 24;
+  params.seed = 101;
+  const CrashSweepReport report = run_crash_sweep(schedule, params);
+  ASSERT_TRUE(report.ok())
+      << "cut " << report.divergence->op_index << " ["
+      << report.divergence->config << "]: " << report.divergence->detail;
+  EXPECT_GT(report.namespace_points, 0u);
 }
 
 TEST(CrashSweep, OnCheckpointPolicySurvivesCheckpointCrashes) {

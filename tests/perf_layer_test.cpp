@@ -2,7 +2,7 @@
 //
 // The layer's contract is "faster, never different": every acceleration —
 // the arena store, store-time probe resolution, the precedence cursor,
-// the heap-accelerated greedy clustering, the word-parallel kernels, the
+// the heap-accelerated greedy clustering, the AVX2 join, the
 // delta codecs — must be observationally identical to the code it replaces.
 // These tests pin that down: fast implementations and slow references are
 // run side by side on the same inputs and compared answer-for-answer (and,
@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_set.hpp"
 #include "cluster/comm_matrix.hpp"
 #include "cluster/static_greedy.hpp"
 #include "core/compact_store.hpp"
@@ -27,6 +29,7 @@
 #include "timestamp/ts_arena.hpp"
 #include "trace/generators.hpp"
 #include "util/check.hpp"
+#include "util/flat_matrix.hpp"
 #include "util/varint.hpp"
 
 namespace ct {
@@ -347,6 +350,70 @@ TEST(ArenaEquivalence, CorruptionAndRebuildKeepEnginesIdentical) {
 
 // ---------------------------------------------------------- greedy clustering
 
+/// The paper-shaped O(N^3) all-pairs rescan of Figure 3: the executable
+/// specification static_greedy_clusters() must match byte for byte (same
+/// clusters, same tie-break choices). Ties resolve to the lexicographically
+/// smallest cluster-id pair.
+std::vector<std::vector<ProcessId>> static_greedy_clusters_reference(
+    const CommMatrix& comm, const StaticGreedyOptions& options) {
+  const std::size_t n = comm.process_count();
+  ClusterSet clusters(n);
+  // Cached inter-cluster occurrence counts, indexed by cluster root; folded
+  // on merge so the pairwise scan stays O(1) per pair.
+  FlatMatrix<std::uint64_t> cr(n, n, 0);
+  for (ProcessId p = 0; p < n; ++p) {
+    for (ProcessId q = 0; q < n; ++q) {
+      if (p != q) cr(p, q) = comm.occurrences(p, q);
+    }
+  }
+
+  std::vector<ClusterId> active = clusters.clusters();
+  for (;;) {
+    // Lines 2-14: the mergeable pair with the highest (normalized) count.
+    double best = 0.0;
+    ClusterId best_a = 0, best_b = 0;
+    bool found = false;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const ClusterId ci = active[i];
+      const std::size_t size_i = clusters.size(ci);
+      for (std::size_t j = i + 1; j < active.size(); ++j) {
+        const ClusterId cj = active[j];
+        const std::size_t combined = size_i + clusters.size(cj);
+        if (combined > options.max_cluster_size) continue;  // line 7
+        const std::uint64_t count = cr(ci, cj);
+        if (count == 0) continue;
+        const double score =
+            options.normalize ? static_cast<double>(count) /
+                                    static_cast<double>(combined)
+                              : static_cast<double>(count);
+        if (score > best) {
+          best = score;
+          best_a = ci;
+          best_b = cj;
+          found = true;
+        }
+      }
+    }
+    if (!found) break;  // line 19: CRMax == 0
+
+    // Lines 15-18: replace the pair with its union; fold the cached counts.
+    const ClusterId survivor = clusters.merge(best_a, best_b);
+    const ClusterId gone = survivor == best_a ? best_b : best_a;
+    for (const ClusterId other : active) {
+      if (other == best_a || other == best_b) continue;
+      cr(survivor, other) = cr(best_a, other) + cr(best_b, other);
+      cr(other, survivor) = cr(survivor, other);
+    }
+    std::erase(active, gone);
+  }
+
+  std::vector<std::vector<ProcessId>> out;
+  out.reserve(active.size());
+  std::sort(active.begin(), active.end());
+  for (const ClusterId c : active) out.push_back(*clusters.members(c));
+  return out;
+}
+
 class GreedyHeapEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(GreedyHeapEquivalence, PartitionByteIdenticalToReference) {
@@ -378,10 +445,16 @@ constexpr EventIndex kEdgeValues[] = {
     0u, 1u, 0x7fff'ffffu, 0x8000'0000u, 0xffff'fffeu,
     std::numeric_limits<EventIndex>::max()};
 
+/// Vector dominance by the standard library, for all_leq to be checked
+/// against.
+bool std_all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
+  return std::equal(a, a + n, b, std::less_equal<EventIndex>{});
+}
+
 TEST(Kernels, AllLeqMatchesReferenceOnEdgeValues) {
-  // Exhaustive over edge-value pairs at length 1 and 2 (both lanes of one
-  // word) — the SWAR lane comparison must be exact over the FULL unsigned
-  // range, including the sign-bit boundary 2^31.
+  // Exhaustive over edge-value pairs at length 1 and 2: the comparison must
+  // be exact over the FULL unsigned range, including the sign-bit boundary
+  // 2^31.
   for (const EventIndex a0 : kEdgeValues) {
     for (const EventIndex b0 : kEdgeValues) {
       const bool want1 = a0 <= b0;
@@ -390,10 +463,8 @@ TEST(Kernels, AllLeqMatchesReferenceOnEdgeValues) {
         for (const EventIndex b1 : kEdgeValues) {
           const EventIndex a[2] = {a0, a1};
           const EventIndex b[2] = {b0, b1};
-          const bool want = kernels::reference::all_leq(a, b, 2);
-          EXPECT_EQ(kernels::all_leq(a, b, 2), want)
+          EXPECT_EQ(kernels::all_leq(a, b, 2), std_all_leq(a, b, 2))
               << a0 << "," << a1 << " vs " << b0 << "," << b1;
-          EXPECT_EQ(kernels::any_gt(a, b, 2), !want);
         }
       }
     }
@@ -409,8 +480,8 @@ TEST(Kernels, AllLeqAndMaxIntoMatchReferenceAtWordBoundaries) {
                            : static_cast<EventIndex>(rng() % 1000);
     }
   };
-  // Lengths around every word boundary: 0, 1 (tail only), 2 (one word),
-  // 3 (word + tail), ... up to several words.
+  // Lengths around the 8-lane boundary of the AVX2 body behind max_into:
+  // 0, tail only, one vector, vector + tail, up to two vectors.
   for (std::size_t n = 0; n <= 17; ++n) {
     for (int rep = 0; rep < 200; ++rep) {
       std::vector<EventIndex> a(n), b(n);
@@ -423,12 +494,12 @@ TEST(Kernels, AllLeqAndMaxIntoMatchReferenceAtWordBoundaries) {
       }
 
       ASSERT_EQ(kernels::all_leq(a.data(), b.data(), n),
-                kernels::reference::all_leq(a.data(), b.data(), n))
+                std_all_leq(a.data(), b.data(), n))
           << "n=" << n << " rep=" << rep;
 
       std::vector<EventIndex> got = a, want = a;
       kernels::max_into(got.data(), b.data(), n);
-      kernels::reference::max_into(want.data(), b.data(), n);
+      kernels::scalar::max_into(want.data(), b.data(), n);
       ASSERT_EQ(got, want) << "n=" << n << " rep=" << rep;
     }
   }
@@ -466,61 +537,19 @@ TEST(Kernels, ComponentLeqBoundsChecks) {
   EXPECT_FALSE(kernels::component_leq(0, row, 0, 0));
 }
 
-TEST(Kernels, BatchedVariantsMatchScalarLoops) {
-  std::mt19937 rng(754);
-  const std::size_t width = 11;
-  std::vector<std::vector<EventIndex>> storage;
-  for (int i = 0; i < 37; ++i) {
-    std::vector<EventIndex> row(width);
-    for (auto& x : row) {
-      x = (rng() % 5 == 0) ? kEdgeValues[rng() % std::size(kEdgeValues)]
-                           : static_cast<EventIndex>(rng() % 100);
-    }
-    storage.push_back(std::move(row));
-  }
-  std::vector<const EventIndex*> rows;
-  for (const auto& r : storage) rows.push_back(r.data());
+// -------------------------------------------------------------- AVX2 body
 
-  std::vector<EventIndex> query(width);
-  for (auto& x : query) x = static_cast<EventIndex>(rng() % 100);
-
-  for (const EventIndex bound :
-       {EventIndex{0}, EventIndex{50}, EventIndex{0x8000'0000u},
-        std::numeric_limits<EventIndex>::max()}) {
-    for (const std::size_t slot : {std::size_t{0}, std::size_t{7}}) {
-      std::vector<std::uint8_t> got(rows.size(), 0xcc);
-      kernels::batch_component_leq(bound, slot, rows.data(), rows.size(),
-                                   got.data());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::uint8_t want =
-            kernels::component_leq(bound, rows[i], width, slot) ? 1 : 0;
-        ASSERT_EQ(got[i], want) << "bound=" << bound << " i=" << i;
-      }
-    }
-  }
-
-  std::vector<std::uint8_t> got(rows.size(), 0xcc);
-  kernels::batch_all_leq(query.data(), width, rows.data(), rows.size(),
-                         got.data());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::uint8_t want =
-        kernels::reference::all_leq(query.data(), rows[i], width) ? 1 : 0;
-    ASSERT_EQ(got[i], want) << i;
-  }
-}
-
-// ---------------------------------------------------------- dispatch tiers
-
-constexpr kernels::KernelTier kAllTiers[] = {
-    kernels::KernelTier::kScalar, kernels::KernelTier::kSwar,
-    kernels::KernelTier::kAvx2, kernels::KernelTier::kAvx512};
-
-// Every tier this CPU can run must be byte-identical to the scalar reference
-// on the edge corpus, at every length straddling the 2-/8-/16-lane
-// boundaries (0..40 covers tails, exact multiples, and a full unrolled
-// vector of each tier), and from unaligned bases (+1-element offsets break
-// the 32-/64-byte alignment the wide loads must not assume).
+// The AVX2 max_into must be byte-identical to its scalar loop on the edge
+// corpus, at every length from 0 to 40 (tails, exact multiples of the 8
+// lanes, and several full vectors), and from unaligned bases (+1-element
+// offsets break the 32-byte alignment the wide loads must not assume).
+// The output buffer carries a guard element past n: the body must never
+// write there.
 TEST(Kernels, EveryAvailableTierMatchesScalarReference) {
+#if defined(CT_KERNELS_X86)
+  if (kernels::active_tier() != kernels::KernelTier::kAvx2) {
+    GTEST_SKIP() << "no AVX2 on this CPU";
+  }
   std::mt19937 rng(755);
   const auto fill = [&rng](EventIndex* p, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -529,132 +558,31 @@ TEST(Kernels, EveryAvailableTierMatchesScalarReference) {
     }
   };
 
-  for (const kernels::KernelTier tier : kAllTiers) {
-    if (!kernels::tier_supported(tier)) continue;
-    const kernels::KernelOps& ops = kernels::ops_for_tier(tier);
-    const char* name = kernels::to_string(tier);
-
-    for (std::size_t n = 0; n <= 40; ++n) {
-      for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
-        for (int rep = 0; rep < 8; ++rep) {
-          std::vector<EventIndex> abuf(n + 1, 0), bbuf(n + 1, 0);
-          EventIndex* a = abuf.data() + offset;
-          EventIndex* b = bbuf.data() + offset;
-          fill(a, n);
-          fill(b, n);
-          // Bias towards near-dominance so both all_leq outcomes and every
-          // batch_leq flag pattern appear.
-          if (rep % 2 == 0) std::copy(a, a + n, b);
-          if (rep % 4 == 0 && n > 0) {
-            b[rng() % n] += static_cast<EventIndex>(rng() % 3);
-          }
-
-          ASSERT_EQ(ops.all_leq(a, b, n),
-                    kernels::reference::all_leq(a, b, n))
-              << name << " n=" << n << " off=" << offset << " rep=" << rep;
-
-          std::vector<EventIndex> got_max(a, a + n), want_max(a, a + n);
-          ops.max_into(got_max.data(), b, n);
-          kernels::reference::max_into(want_max.data(), b, n);
-          ASSERT_EQ(got_max, want_max)
-              << name << " n=" << n << " off=" << offset << " rep=" << rep;
-
-          std::vector<std::uint8_t> got_flags(n + 1, 0xcc);
-          std::vector<std::uint8_t> want_flags(n + 1, 0xcc);
-          ops.batch_leq(a, b, n, got_flags.data());
-          kernels::reference::batch_leq(a, b, n, want_flags.data());
-          ASSERT_EQ(got_flags, want_flags)
-              << name << " n=" << n << " off=" << offset << " rep=" << rep;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::vector<EventIndex> abuf(n + 2, 0), bbuf(n + 2, 0);
+        EventIndex* a = abuf.data() + offset;
+        EventIndex* b = bbuf.data() + offset;
+        fill(a, n + 1);
+        fill(b, n + 1);
+        // Bias towards near-equal vectors so both operands win lanes.
+        if (rep % 2 == 0) std::copy(a, a + n, b);
+        if (rep % 4 == 0 && n > 0) {
+          b[rng() % n] += static_cast<EventIndex>(rng() % 3);
         }
+
+        std::vector<EventIndex> got(abuf), want(abuf);
+        kernels::avx2::max_into(got.data() + offset, b, n);
+        kernels::scalar::max_into(want.data() + offset, b, n);
+        ASSERT_EQ(got, want) << "n=" << n << " off=" << offset
+                             << " rep=" << rep;
       }
     }
-
-    // Row-batch entry points: unaligned row bases, counts straddling every
-    // chunk/lane boundary of the gather loops (kChunk = 64 in the wide
-    // tiers).
-    const std::size_t width = 13;
-    std::vector<std::vector<EventIndex>> storage;
-    for (int i = 0; i < 70; ++i) {
-      std::vector<EventIndex> buf(width + 1, 0);
-      fill(buf.data() + 1, width);
-      storage.push_back(std::move(buf));
-    }
-    std::vector<const EventIndex*> rows;
-    for (const auto& r : storage) rows.push_back(r.data() + 1);
-    std::vector<EventIndex> qbuf(width + 1, 0);
-    fill(qbuf.data() + 1, width);
-    const EventIndex* query = qbuf.data() + 1;
-
-    for (const std::size_t count :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-          std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{17},
-          std::size_t{63}, std::size_t{64}, std::size_t{65},
-          std::size_t{70}}) {
-      ASSERT_LE(count, rows.size());
-      for (const EventIndex bound :
-           {EventIndex{0}, EventIndex{500}, EventIndex{0x8000'0000u},
-            std::numeric_limits<EventIndex>::max()}) {
-        std::vector<std::uint8_t> got(count + 1, 0xcc);
-        ops.batch_component_leq(bound, 7, rows.data(), count, got.data());
-        for (std::size_t i = 0; i < count; ++i) {
-          const std::uint8_t want = bound <= rows[i][7] ? 1 : 0;
-          ASSERT_EQ(got[i], want)
-              << name << " count=" << count << " bound=" << bound
-              << " i=" << i;
-        }
-        ASSERT_EQ(got[count], 0xcc) << name << " overwrote past count";
-      }
-
-      std::vector<std::uint8_t> got(count + 1, 0xcc);
-      ops.batch_all_leq(query, width, rows.data(), count, got.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint8_t want =
-            kernels::reference::all_leq(query, rows[i], width) ? 1 : 0;
-        ASSERT_EQ(got[i], want) << name << " count=" << count << " i=" << i;
-      }
-      ASSERT_EQ(got[count], 0xcc) << name << " overwrote past count";
-    }
   }
-}
-
-TEST(Kernels, TierNamesParseAndRoundTrip) {
-  for (const kernels::KernelTier tier : kAllTiers) {
-    kernels::KernelTier parsed;
-    ASSERT_TRUE(kernels::parse_kernel_tier(kernels::to_string(tier), &parsed))
-        << kernels::to_string(tier);
-    EXPECT_EQ(parsed, tier);
-  }
-  kernels::KernelTier parsed;
-  EXPECT_FALSE(kernels::parse_kernel_tier("", &parsed));
-  EXPECT_FALSE(kernels::parse_kernel_tier("sse2", &parsed));
-  EXPECT_FALSE(kernels::parse_kernel_tier("AVX2", &parsed));
-}
-
-// set_kernel_tier (the programmatic face of CT_KERNEL_TIER) must clamp to
-// the widest supported tier, report the tier actually activated, and route
-// the PUBLIC dispatch wrappers through that tier's table.
-TEST(Kernels, TierSelectionClampsAndRedispatches) {
-  const kernels::KernelTier prev = kernels::active_tier();
-  const kernels::KernelTier widest = kernels::widest_supported_tier();
-  EXPECT_GE(widest, kernels::KernelTier::kSwar);
-
-  for (const kernels::KernelTier tier : kAllTiers) {
-    const kernels::KernelTier got = kernels::set_kernel_tier(tier);
-    EXPECT_EQ(got, std::min(tier, widest)) << kernels::to_string(tier);
-    EXPECT_EQ(kernels::active_tier(), got);
-
-    // The wrappers must now serve answers through the selected table.
-    const EventIndex a[17] = {1, 2, 3, 4, 5, 6, 7, 8, 9,
-                              10, 11, 12, 13, 14, 15, 16, 17};
-    EventIndex b[17];
-    std::copy(std::begin(a), std::end(a), std::begin(b));
-    EXPECT_TRUE(kernels::all_leq(a, b, 17));
-    b[13] = 0;
-    EXPECT_FALSE(kernels::all_leq(a, b, 17));
-    kernels::max_into(b, a, 17);
-    EXPECT_TRUE(std::equal(std::begin(a), std::end(a), std::begin(b)));
-  }
-  EXPECT_EQ(kernels::set_kernel_tier(prev), prev);
+#else
+  GTEST_SKIP() << "no AVX2 body in a non-x86 build";
+#endif
 }
 
 // The n == 0 contract of count_leq is explicit (the descent arithmetic
