@@ -1,14 +1,12 @@
-// Backend matrix (extends the §2.4 differential comparison, E8): the four
-// registrable serving backends — full Fidge/Mattern vector clocks, cluster
-// timestamps, differential encoding, and tree clocks (Mathur/Tunç) — over 8
-// trace families × maxCS ∈ {4, 16, 64} (maxCS applies to the cluster
-// backend; the other three are cluster-free and contribute one row per
+// Backend matrix (extends the §2.4 differential comparison, E8): full
+// Fidge/Mattern vector clocks, cluster timestamps and differential encoding
+// over 8 trace families × maxCS ∈ {4, 16, 64} (maxCS applies to the cluster
+// backend; the other two are cluster-free and contribute one row per
 // family). Three columns per cell: bytes/event (stored footprint), ingest
-// join cost (ns/event over the whole replay, plus the tree clock's
-// components-touched counters against the vector clock's Θ(N) bound), and
-// ns/precedence on a fixed sample of query pairs. Every sampled pair is
-// also cross-checked across the four backends — answer identity is the
-// paper's non-negotiable — before any timing is reported.
+// cost (ns/event over the whole replay), and ns/precedence on a fixed
+// sample of query pairs. Every sampled pair is also cross-checked across
+// the three backends — answer identity is the paper's non-negotiable —
+// before any timing is reported.
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -19,7 +17,6 @@
 #include "core/engine.hpp"
 #include "timestamp/differential.hpp"
 #include "timestamp/fm_store.hpp"
-#include "timestamp/tree_clock_store.hpp"
 #include "trace/generators.hpp"
 #include "util/prng.hpp"
 
@@ -108,10 +105,11 @@ int main(int argc, char** argv) {
   ct::bench::bench_init(argc, argv, "table_backend_matrix");
   bench::header(
       "table_backend_matrix",
-      "backend registry matrix — extends §2.4's differential comparison",
-      "bytes/event, ingest join cost and ns/precedence for the four\n"
-      "registrable backends across 8 trace families; cluster backend swept\n"
-      "over maxCS {4,16,64}; all answers cross-checked pairwise first.");
+      "backend matrix — extends §2.4's differential comparison",
+      "bytes/event, ingest cost and ns/precedence for vector clocks,\n"
+      "cluster timestamps and differential encoding across 8 trace\n"
+      "families; cluster backend swept over maxCS {4,16,64}; all answers\n"
+      "cross-checked pairwise first.");
 
   const std::vector<std::size_t> max_cs{4, 16, 64};
   auto families = make_families();
@@ -121,9 +119,8 @@ int main(int argc, char** argv) {
       "family,backend,maxCS,bytes_per_event,ingest_ns_per_event,"
       "ns_per_precedence\n");
 
-  OnlineStats vc_bytes, cluster_bytes4, diff_bytes, tree_bytes;
-  OnlineStats vc_query, cluster_query4, diff_query, tree_query;
-  OnlineStats tree_join_touch, vc_join_touch;
+  OnlineStats vc_bytes, cluster_bytes4, diff_bytes;
+  OnlineStats vc_query, cluster_query4, diff_query;
   std::size_t mismatches = 0;
 
   for (const Family& fam : families) {
@@ -142,12 +139,6 @@ int main(int argc, char** argv) {
       (void)probe;
     });
     const DifferentialStore diff(t, 16);
-    // --- tree clock (arena) ---
-    const double tree_ingest = time_ns_per(events, [&] {
-      TreeClockStore probe(t);
-      (void)probe;
-    });
-    const TreeClockStore tree(t);
 
     // --- cluster timestamps (merge-on-1st, dynamic) per maxCS ---
     struct ClusterCell {
@@ -173,11 +164,10 @@ int main(int argc, char** argv) {
       clusters.push_back(std::move(cell));
     }
 
-    // --- answer identity across all four, before timing ---
+    // --- answer identity across all three, before timing ---
     for (const auto& [e, f] : pairs) {
       const bool expect = vc.precedes(e, f);
       if (diff.precedes(e, f) != expect) ++mismatches;
-      if (tree.precedes(e, f) != expect) ++mismatches;
       for (const ClusterCell& cell : clusters) {
         if (cell.engine->precedes(t.event(e), t.event(f)) != expect) {
           ++mismatches;
@@ -192,21 +182,15 @@ int main(int argc, char** argv) {
     const double diff_ns = time_ns_per(pairs.size(), [&] {
       for (const auto& [e, f] : pairs) (void)diff.precedes(e, f);
     });
-    const double tree_ns = time_ns_per(pairs.size(), [&] {
-      for (const auto& [e, f] : pairs) (void)tree.precedes(e, f);
-    });
 
     // --- bytes/event (stored words × 4 / events) ---
     const double vc_b = 4.0 * static_cast<double>(vc.resident_elements()) /
                         static_cast<double>(events);
     const double diff_b = 4.0 * static_cast<double>(diff.stored_words()) /
                           static_cast<double>(events);
-    const double tree_b = 4.0 * static_cast<double>(tree.resident_elements()) /
-                          static_cast<double>(events);
 
     emit_row(fam.name, "vector-clock", "-", vc_b, vc_ingest, vc_ns);
     emit_row(fam.name, "differential", "-", diff_b, diff_ingest, diff_ns);
-    emit_row(fam.name, "tree-clock", "-", tree_b, tree_ingest, tree_ns);
     for (const ClusterCell& cell : clusters) {
       const ClusterEngineStats stats = cell.engine->stats();
       const double bytes = 4.0 * static_cast<double>(stats.encoded_words) /
@@ -226,22 +210,9 @@ int main(int argc, char** argv) {
 
     vc_bytes.add(vc_b);
     diff_bytes.add(diff_b);
-    tree_bytes.add(tree_b);
     vc_query.add(vc_ns);
     diff_query.add(diff_ns);
-    tree_query.add(tree_ns);
 
-    // Join-touch accounting: components a receive-side merge examines.
-    const TreeClock::JoinStats& js = tree.costs().join;
-    if (js.joins > 0) {
-      tree_join_touch.add(
-          static_cast<double>(js.nodes_examined + js.nodes_updated) /
-          static_cast<double>(js.joins));
-    }
-    vc_join_touch.add(static_cast<double>(n));  // clock_max is always Θ(N)
-
-    bench::json_metric(std::string(fam.name) + ".tree_clock.bytes_per_event",
-                       tree_b);
     bench::json_metric(std::string(fam.name) + ".vector_clock.bytes_per_event",
                        vc_b);
   }
@@ -254,41 +225,25 @@ int main(int argc, char** argv) {
                  fmt(cluster_query4.mean(), 1)});
   table.add_row({"differential (k=16)", fmt(diff_bytes.mean(), 1),
                  fmt(diff_query.mean(), 1)});
-  table.add_row({"tree-clock", fmt(tree_bytes.mean(), 1),
-                 fmt(tree_query.mean(), 1)});
   table.print(std::cout);
-  std::printf(
-      "join touch per receive: tree clock %.1f components vs vector clock "
-      "%.1f (Θ(N))\n",
-      tree_join_touch.mean(), vc_join_touch.mean());
 
   bench::json_metric("mismatches", static_cast<double>(mismatches));
-  bench::json_metric("tree_clock.join_touch_mean", tree_join_touch.mean());
-  bench::json_metric("vector_clock.join_touch_mean", vc_join_touch.mean());
-  bench::json_metric("tree_clock.bytes_per_event_mean", tree_bytes.mean());
   bench::json_metric("cluster4.bytes_per_event_mean", cluster_bytes4.mean());
 
   bench::section("analysis");
   bench::verdict(
-      "all four registrable backends answer sampled precedence identically",
+      "vector clocks, cluster timestamps and differential encoding answer "
+      "sampled precedence identically",
       "answer identity is the paper's non-negotiable core claim",
       std::to_string(mismatches) + " mismatches across " +
           std::to_string(families.size() * kPairs) + " pairs x backends",
       mismatches == 0);
   bench::verdict(
-      "tree-clock joins touch fewer components than the vector-clock bound",
-      "Mathur/Tunc: tree clocks make the receive-side join sublinear",
-      "mean " + fmt(tree_join_touch.mean(), 1) + " components/join vs N = " +
-          fmt(vc_join_touch.mean(), 1),
-      tree_join_touch.mean() < vc_join_touch.mean());
-  bench::verdict(
-      "cluster timestamps remain the smallest stored encoding",
+      "cluster timestamps are smaller than vector clocks",
       "cluster timestamps 'require up to an order-of-magnitude less space' "
       "(S1.2)",
       "cluster maxCS=4 mean " + fmt(cluster_bytes4.mean(), 1) +
-          " bytes/event vs vector-clock " + fmt(vc_bytes.mean(), 1) +
-          " and tree-clock " + fmt(tree_bytes.mean(), 1),
-      cluster_bytes4.mean() < vc_bytes.mean() &&
-          cluster_bytes4.mean() < tree_bytes.mean());
+          " bytes/event vs vector-clock " + fmt(vc_bytes.mean(), 1),
+      cluster_bytes4.mean() < vc_bytes.mean());
   return ct::bench::bench_finish();
 }

@@ -104,10 +104,7 @@ Row run_one(const std::string& id, const Trace& t, const FmStore& oracle,
       case QueryOutcome::kAnswered:
         ++answered;
         costs.push_back(static_cast<double>(r.cost));
-        if (r.backend_used == ServingBackend::kDifferential ||
-            r.backend_used == ServingBackend::kOnDemandFm) {
-          ++fallback;
-        }
+        if (degraded(r.backend_used)) ++fallback;
         if (*r.answer != oracle.precedes(pairs[i].first, pairs[i].second)) {
           row.exact = false;
         }

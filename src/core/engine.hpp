@@ -216,7 +216,7 @@ class ClusterTimestampEngine {
   static constexpr std::uint32_t kExportNoProbe = 0xffff'ffffu;
 
   /// Read-only visitor over the published arena snapshot. The columnar
-  /// snapshot store persists exactly what precedes_arena reads — the
+  /// snapshot store persists exactly what precedes() reads — the
   /// component pool, per-event row descriptors, resolved probe rows, and
   /// interned covered sets — so a mapped snapshot can answer precedence
   /// without replaying anything. Callbacks arrive in a fixed order: pool,

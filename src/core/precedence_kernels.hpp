@@ -1,8 +1,8 @@
 // Vector precedence kernels.
 //
 // The precedence tests of every backend reduce to a handful of primitive
-// operations over vectors of 32-bit components: "is a[i] <= b[i] for all i",
-// "component at slot s versus a bound", and "into = max(into, other)". Each
+// operations over vectors of 32-bit components: "component at slot s versus
+// a bound", its batched form, and "into = max(into, other)". Each
 // is a plain scalar loop: the portable path and the test reference. One op
 // also has an 8-lane AVX2 body, selected ONCE by CPUID on x86-64: max_into,
 // the Fidge/Mattern join that cold-start replay runs over full-width
@@ -63,15 +63,6 @@ namespace avx2 {
 void max_into(EventIndex* into, const EventIndex* other, std::size_t n);
 }  // namespace avx2
 #endif
-
-/// True iff a[i] <= b[i] for every i < n (vector dominance). Early-exits at
-/// the first violated component.
-inline bool all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] > b[i]) return false;
-  }
-  return true;
-}
 
 /// into = max(into, other), element-wise: the Fidge/Mattern join.
 void max_into(EventIndex* into, const EventIndex* other, std::size_t n);

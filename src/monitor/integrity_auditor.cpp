@@ -49,12 +49,10 @@ AuditFinding IntegrityAuditor::step() {
     }
   }
 
-  if (options_.check_digests) {
-    for (const auto& [c, digest] : baseline_) {
-      if (monitor_.cluster_digest(c) != digest) {
-        ++stats_.digest_mismatches;
-        blame(c);
-      }
+  for (const auto& [c, digest] : baseline_) {
+    if (monitor_.cluster_digest(c) != digest) {
+      ++stats_.digest_mismatches;
+      blame(c);
     }
   }
   return finding;

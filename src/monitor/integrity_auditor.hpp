@@ -38,8 +38,6 @@ struct AuditOptions {
   /// Consecutive clean steps before a tripped cluster backend is re-admitted
   /// (enforced by the broker; carried here so options travel together).
   std::size_t clean_steps_to_readmit = 3;
-  /// Also compare every cluster's digest against its baseline each step.
-  bool check_digests = true;
 };
 
 struct AuditStats {

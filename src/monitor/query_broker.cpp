@@ -13,44 +13,48 @@ inline std::uint64_t pack(EventId id) {
   return (static_cast<std::uint64_t>(id.process) << 32) | id.index;
 }
 
-BackendContext trace_context(const Trace& trace, const BrokerOptions& options) {
-  BackendContext ctx;
-  ctx.trace = &trace;
-  ctx.differential_interval = options.differential_interval;
-  ctx.ondemand_cache_capacity = options.ondemand_cache_capacity;
-  return ctx;
+/// Position of chain link `b` in the fixed chain (enum order).
+std::size_t chain_index(ServingBackend b) {
+  CT_CHECK_MSG(
+      b >= ServingBackend::kCluster && b <= ServingBackend::kOnDemandFm,
+      "not a chain link: " << to_string(b));
+  return static_cast<std::size_t>(b) -
+         static_cast<std::size_t>(ServingBackend::kCluster);
+}
+
+/// The frozen state's trace, once `frozen` is known to be there.
+const Trace& frozen_trace(const std::shared_ptr<const FrozenDelivery>& frozen) {
+  CT_CHECK_MSG(frozen != nullptr, "broker needs a frozen delivered state");
+  return frozen->trace();
 }
 
 }  // namespace
 
 FrozenDelivery::FrozenDelivery(Trace trace, ClusterDigests digests)
-    : trace_(std::move(trace)), digests_(std::move(digests)) {}
+    : trace_(std::move(trace)),
+      digests_(std::move(digests)),
+      differential_(trace_, kDifferentialInterval) {}
 
 std::shared_ptr<const FrozenDelivery> FrozenDelivery::freeze(
-    const MonitoringEntity& monitor, const BrokerOptions& options,
-    ClusterDigests digests) {
-  // The links keep references into trace_, so they are built only once the
-  // object sits at its final address.
-  std::shared_ptr<FrozenDelivery> frozen(
+    const MonitoringEntity& monitor, ClusterDigests digests) {
+  return std::shared_ptr<const FrozenDelivery>(
       new FrozenDelivery(monitor.delivered_trace(), std::move(digests)));
-  const BackendContext ctx = trace_context(frozen->trace_, options);
-  for (const ServingBackend b : options.chain) {
-    if (b == ServingBackend::kCluster) continue;  // monitor-coupled
-    // Building a link is how its capabilities are read; the links that
-    // are not full replays are cheap to build and stay per broker.
-    auto link = BackendRegistry::instance().make(b, ctx);
-    if (link->capabilities().rebuild_cost == RebuildCost::kFullReplay) {
-      frozen->links_.push_back(std::move(link));
-    }
-  }
-  return frozen;
 }
 
-CausalityBackend* FrozenDelivery::shared_link(ServingBackend b) const {
-  for (const auto& link : links_) {
-    if (link->id() == b) return link.get();
+const char* to_string(ServingBackend b) {
+  switch (b) {
+    case ServingBackend::kNone:
+      return "none";
+    case ServingBackend::kCache:
+      return "cache";
+    case ServingBackend::kCluster:
+      return "cluster";
+    case ServingBackend::kDifferential:
+      return "differential";
+    case ServingBackend::kOnDemandFm:
+      return "ondemand-fm";
   }
-  return nullptr;
+  return "?";
 }
 
 const char* to_string(QueryOutcome o) {
@@ -69,31 +73,18 @@ const char* to_string(QueryOutcome o) {
   return "?";
 }
 
-std::size_t QueryBroker::slot(ServingBackend b) const {
-  for (std::size_t i = 0; i < chain_.size(); ++i) {
-    if (chain_[i]->id() == b) return i;
-  }
-  CT_CHECK_MSG(false, "not a chain link of this broker: " << to_string(b));
-  return 0;
+QueryBroker::Breaker& QueryBroker::breaker(ServingBackend b) {
+  return breakers_[chain_index(b)];
 }
 
-ServingBackend QueryBroker::worse(ServingBackend a, ServingBackend b) const {
-  const auto rank = [this](ServingBackend x) -> std::size_t {
-    if (x == ServingBackend::kNone) return 0;
-    if (x == ServingBackend::kCache) return 1;
-    for (std::size_t i = 0; i < chain_.size(); ++i) {
-      if (chain_[i]->id() == x) return 2 + i;
-    }
-    return 2 + chain_.size();  // unreachable for answers this broker made
-  };
-  return rank(a) >= rank(b) ? a : b;
+const QueryBroker::Breaker& QueryBroker::breaker(ServingBackend b) const {
+  return breakers_[chain_index(b)];
 }
 
 QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
                          BrokerOptions options)
-    : QueryBroker(monitor, pool, options,
-                  FrozenDelivery::freeze(monitor, options,
-                                         monitor.cluster_digests())) {}
+    : QueryBroker(monitor, pool, std::move(options),
+                  FrozenDelivery::freeze(monitor, monitor.cluster_digests())) {}
 
 QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
                          BrokerOptions options,
@@ -101,8 +92,8 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
     : monitor_(monitor),
       pool_(pool),
       options_(std::move(options)),
-      frozen_(std::move(frozen)) {
-  CT_CHECK_MSG(frozen_ != nullptr, "broker needs a frozen delivered state");
+      frozen_(std::move(frozen)),
+      ondemand_(frozen_trace(frozen_), kOnDemandCacheCapacity) {
   // Fallback answers come from the frozen state, so it must hold exactly
   // the events the monitor has delivered.
   const Trace& trace = frozen_->trace();
@@ -119,37 +110,6 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
                      << trace.process_size(p) << " events of process " << p
                      << ", the monitor " << monitor_.delivered_count(p));
   }
-  CT_CHECK_MSG(!options_.chain.empty(), "broker chain must not be empty");
-
-  BackendContext ctx = trace_context(trace, options_);
-  // The kCluster link serves from the monitor under an epoch pin: the
-  // engine's repairs publish new snapshots and retire the old ones, so a
-  // pinned reader never blocks them and never sees a reclaimed snapshot.
-  ctx.monitor_precedes = [this](EventId e, EventId f,
-                                QueryCost& cost) -> std::optional<bool> {
-    const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
-    return monitor_.precedes_metered(e, f, cost);
-  };
-
-  const BackendRegistry& registry = BackendRegistry::instance();
-  chain_.reserve(options_.chain.size());
-  for (const ServingBackend b : options_.chain) {
-    for (const auto& built : chain_) {
-      CT_CHECK_MSG(built->id() != b,
-                   "duplicate chain link: " << to_string(b));
-    }
-    if (CausalityBackend* shared = frozen_->shared_link(b)) {
-      chain_.emplace_back(frozen_, shared);  // shares frozen_'s lifetime
-    } else {
-      chain_.push_back(registry.make(b, ctx));
-    }
-    CT_CHECK_MSG(chain_.back()->capabilities().supports_frontier,
-                 "chain link " << to_string(b)
-                               << " cannot serve frontier queries");
-    if (b == ServingBackend::kCluster) cluster_slot_ = chain_.size() - 1;
-  }
-  breakers_.resize(chain_.size());
-
   if (options_.answer_cache_capacity > 0) {
     answer_cache_ = std::make_unique<
         SynchronizedLruCache<PairKey, bool, PairKeyHash>>(
@@ -247,13 +207,7 @@ void QueryBroker::run_one() {
         case QueryOutcome::kAnswered: {
           ++health_.completed;
           ++health_.answered;
-          // "Past the primary": any chain link after position 0 answered.
-          for (std::size_t i = 1; i < chain_.size(); ++i) {
-            if (chain_[i]->id() == result.backend_used) {
-              ++health_.fallback_answers;
-              break;
-            }
-          }
+          if (degraded(result.backend_used)) ++health_.fallback_answers;
           break;
         }
         case QueryOutcome::kUnknown:
@@ -380,15 +334,13 @@ QueryResult QueryBroker::execute(const Job& job) {
       ChainStatus failure = ChainStatus::kOk;
       result.batch.assign(job.pairs.size(), std::nullopt);
       std::size_t start = 0;
-      // Bulk fast path: with no answer cache and a healthy cluster link at
-      // the FRONT of the chain, the whole batch runs through the monitor's
-      // kernel-backed batch entry under ONE epoch pin — tick accounting
-      // and answers are identical to the per-pair chain below (which, with
-      // the cache off, is exactly "cluster backend per pair"). Any
-      // mid-batch backend failure falls back to the chain from the failing
-      // pair on.
-      if (!answer_cache_ && cluster_slot_ == std::size_t{0} &&
-          !backend_open(ServingBackend::kCluster)) {
+      // Bulk fast path: with no answer cache and a healthy cluster link,
+      // the whole batch runs through the monitor's kernel-backed batch
+      // entry under ONE epoch pin — tick accounting and answers are
+      // identical to the per-pair chain below (which, with the cache off,
+      // is exactly "cluster backend per pair"). Any mid-batch backend
+      // failure falls back to the chain from the failing pair on.
+      if (!answer_cache_ && !backend_open(ServingBackend::kCluster)) {
         std::size_t done = 0;
         bool bulk_failed = false;
         {
@@ -408,7 +360,7 @@ QueryResult QueryBroker::execute(const Job& job) {
         if (done > 0) {
           // The chain resets the failure streak after every served pair.
           std::lock_guard lock(mu_);
-          breakers_[*cluster_slot_].consecutive_failures = 0;
+          breaker(ServingBackend::kCluster).consecutive_failures = 0;
           worst = worse(worst, ServingBackend::kCluster);
         }
         if (bulk_failed) {
@@ -469,55 +421,76 @@ QueryBroker::ChainStatus QueryBroker::chain_precedes(EventId e, EventId f,
   }
 
   bool any_failure = false;
-  for (std::size_t i = 0; i < chain_.size(); ++i) {
-    const bool audited = cluster_slot_ == i;
+  for (const ServingBackend link : kChain) {
+    const bool audited = link == ServingBackend::kCluster;
     {
       std::lock_guard lock(mu_);
-      Breaker& breaker = breakers_[i];
-      if (breaker.open) {
-        // Failure-tripped fallback backends accept a probe every Nth
-        // bypass; the audited cluster backend is re-admitted only by
-        // clean audit steps.
+      Breaker& b = breaker(link);
+      if (b.open) {
+        // Failure-tripped fallback links accept a probe every Nth bypass;
+        // the audited cluster link is re-admitted only by clean audit
+        // steps.
         const bool probe = !audited && options_.breaker_probe_stride > 0 &&
-                           ++breaker.bypasses %
-                                   options_.breaker_probe_stride ==
-                               0;
+                           ++b.bypasses % options_.breaker_probe_stride == 0;
         if (!probe) continue;
       }
     }
     try {
-      const std::optional<bool> result =
-          chain_[i]->precedes_metered(e, f, cost);
+      const std::optional<bool> result = link_precedes(link, e, f, cost);
       if (!result) return ChainStatus::kDeadline;
       {
         std::lock_guard lock(mu_);
-        Breaker& breaker = breakers_[i];
-        breaker.consecutive_failures = 0;
-        if (breaker.open && !audited) {
-          breaker.open = false;  // successful probe re-admits
+        Breaker& b = breaker(link);
+        b.consecutive_failures = 0;
+        if (b.open && !audited) {
+          b.open = false;  // successful probe re-admits
           ++health_.readmissions;
         }
       }
       if (answer_cache_) answer_cache_->put({pack(e), pack(f)}, *result);
       *answer = *result;
-      *used = chain_[i]->id();
+      *used = link;
       return ChainStatus::kOk;
     } catch (const CheckFailure&) {
       any_failure = true;
-      note_failure(i);
+      note_failure(link);
     }
   }
   return any_failure ? ChainStatus::kFailed : ChainStatus::kUnknown;
 }
 
-void QueryBroker::note_failure(std::size_t slot) {
+std::optional<bool> QueryBroker::link_precedes(ServingBackend link, EventId e,
+                                               EventId f, QueryCost& cost) {
+  switch (link) {
+    case ServingBackend::kCluster: {
+      // The engine's repairs publish new snapshots and retire the old
+      // ones, so a pinned reader never blocks them and never sees a
+      // reclaimed snapshot.
+      const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
+      return monitor_.precedes_metered(e, f, cost);
+    }
+    case ServingBackend::kDifferential:
+      return frozen_->differential().precedes_metered(e, f, cost);
+    case ServingBackend::kOnDemandFm: {
+      std::lock_guard lock(ondemand_mu_);
+      return ondemand_.precedes_metered(e, f, cost);
+    }
+    case ServingBackend::kNone:
+    case ServingBackend::kCache:
+      break;
+  }
+  CT_CHECK_MSG(false, "not a chain link: " << to_string(link));
+  return std::nullopt;
+}
+
+void QueryBroker::note_failure(ServingBackend link) {
   std::lock_guard lock(mu_);
-  Breaker& breaker = breakers_[slot];
-  if (breaker.open) return;
-  if (++breaker.consecutive_failures >= options_.breaker_failure_threshold) {
-    breaker.open = true;
-    breaker.consecutive_failures = 0;
-    breaker.bypasses = 0;
+  Breaker& b = breaker(link);
+  if (b.open) return;
+  if (++b.consecutive_failures >= options_.breaker_failure_threshold) {
+    b.open = true;
+    b.consecutive_failures = 0;
+    b.bypasses = 0;
     ++health_.breaker_trips;
   }
 }
@@ -536,13 +509,12 @@ bool QueryBroker::audit_step() {
     ++health_.audit_steps;
   }
   if (finding.clean()) {
-    if (!cluster_slot_) return true;  // no cluster link to re-admit
     std::lock_guard lock(mu_);
-    Breaker& breaker = breakers_[*cluster_slot_];
-    if (breaker.open &&
-        ++breaker.clean_streak >= options_.audit.clean_steps_to_readmit) {
-      breaker.open = false;
-      breaker.clean_streak = 0;
+    Breaker& cluster = breaker(ServingBackend::kCluster);
+    if (cluster.open &&
+        ++cluster.clean_streak >= options_.audit.clean_steps_to_readmit) {
+      cluster.open = false;
+      cluster.clean_streak = 0;
       ++health_.readmissions;
     }
     return true;
@@ -551,14 +523,12 @@ bool QueryBroker::audit_step() {
   {
     std::lock_guard lock(mu_);
     health_.audit_mismatches += finding.corrupted.size();
-    if (cluster_slot_) {
-      Breaker& breaker = breakers_[*cluster_slot_];
-      if (!breaker.open) {
-        breaker.open = true;
-        ++health_.breaker_trips;
-      }
-      breaker.clean_streak = 0;
+    Breaker& cluster = breaker(ServingBackend::kCluster);
+    if (!cluster.open) {
+      cluster.open = true;
+      ++health_.breaker_trips;
     }
+    cluster.clean_streak = 0;
   }
   // Answers cached before the trip may be poisoned; drop them all.
   if (answer_cache_) answer_cache_->clear();
@@ -575,34 +545,31 @@ bool QueryBroker::audit_step() {
   return false;
 }
 
-void QueryBroker::trip_backend(ServingBackend b) {
-  const std::size_t i = slot(b);
+void QueryBroker::trip_backend(ServingBackend link) {
   std::lock_guard lock(mu_);
-  Breaker& breaker = breakers_[i];
-  if (!breaker.open) {
-    breaker.open = true;
-    breaker.clean_streak = 0;
-    breaker.bypasses = 0;
+  Breaker& b = breaker(link);
+  if (!b.open) {
+    b.open = true;
+    b.clean_streak = 0;
+    b.bypasses = 0;
     ++health_.breaker_trips;
   }
 }
 
-void QueryBroker::readmit_backend(ServingBackend b) {
-  const std::size_t i = slot(b);
+void QueryBroker::readmit_backend(ServingBackend link) {
   std::lock_guard lock(mu_);
-  Breaker& breaker = breakers_[i];
-  if (breaker.open) {
-    breaker.open = false;
-    breaker.consecutive_failures = 0;
-    breaker.clean_streak = 0;
+  Breaker& b = breaker(link);
+  if (b.open) {
+    b.open = false;
+    b.consecutive_failures = 0;
+    b.clean_streak = 0;
     ++health_.readmissions;
   }
 }
 
-bool QueryBroker::backend_open(ServingBackend b) const {
-  const std::size_t i = slot(b);
+bool QueryBroker::backend_open(ServingBackend link) const {
   std::lock_guard lock(mu_);
-  return breakers_[i].open;
+  return breaker(link).open;
 }
 
 void QueryBroker::drain() {

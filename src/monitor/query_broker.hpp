@@ -12,14 +12,10 @@
 //  * admission control — a bounded queue with a configurable shedding
 //    policy (reject-newest / reject-oldest) and a BrokerHealth accounting
 //    in which every submitted query lands in exactly one bucket;
-//  * a fallback chain with per-backend circuit breakers — answer cache,
-//    then the links named by BrokerOptions::chain (default: cluster
-//    backend → differential store → on-demand FM), then explicit unknown.
-//    Links are built through the BackendRegistry (timestamp/
-//    causality_backend.hpp; docs/BACKENDS.md), so new backends — tree
-//    clocks being the first — plug in without broker surgery. A tripped or
-//    corrupted backend degrades answers to slower-but-exact or unknown,
-//    never wrong;
+//  * a fixed fallback chain with per-link circuit breakers — answer cache,
+//    then cluster timestamps → differential store → on-demand FM, then
+//    explicit unknown (docs/BACKENDS.md). A tripped or corrupted link
+//    degrades answers to slower-but-exact or unknown, never wrong;
 //  * an online integrity audit (integrity_auditor.hpp) run between
 //    queries: sampled cross-checks and per-cluster digests detect state
 //    corruption, trip the cluster breaker, trigger an incremental rebuild
@@ -27,18 +23,19 @@
 //    configurable number of clean audit steps.
 //
 // Serving epoch: a broker serves one FrozenDelivery — the monitor's
-// delivered trace, the chain links that replay it in full (differential,
-// tree clock), and the known-good cluster digests its audit starts from —
-// frozen when the epoch opens. A broker built from (monitor, pool, options)
-// freezes its own; the ShardRouter freezes one per tenant epoch and hands
-// it to the brokers of every coherent replica, which share it read-only
-// (their cluster link, on-demand FM link, breakers, answer cache and
-// auditor stay their own). A FrozenDelivery whose delivered event counts
-// disagree with the monitor's is refused at construction. Ingesting into
-// the monitor while a broker serves it is undefined; drain() / destroy the
-// broker first, then re-ingest.
+// delivered trace, the differential store that replays it in full, and the
+// known-good cluster digests its audit starts from — frozen when the epoch
+// opens. A broker built from (monitor, pool, options) freezes its own; the
+// ShardRouter freezes one per tenant epoch and hands it to the brokers of
+// every coherent replica, which share it read-only (their cluster link,
+// on-demand FM link, breakers, answer cache and auditor stay their own). A
+// FrozenDelivery whose delivered event counts disagree with the monitor's
+// is refused at construction. Ingesting into the monitor while a broker
+// serves it is undefined; drain() / destroy the broker first, then
+// re-ingest.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -55,17 +52,37 @@
 #include "monitor/integrity_auditor.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/queries.hpp"
-#include "timestamp/causality_backend.hpp"
+#include "timestamp/differential.hpp"
+#include "timestamp/ondemand_fm.hpp"
 #include "timestamp/query_cost.hpp"
 #include "util/synchronized_lru.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ct {
 
-// ServingBackend (who produced a query's answer) now lives with the
-// backend registry in timestamp/causality_backend.hpp. A multi-test query
-// reports the *most degraded* source it consulted — chain position, with
-// the cache in front.
+/// Who produced a query's answer, declared in degradation order: the
+/// broker-internal kNone and kCache, then the fallback chain's links in
+/// the order the broker walks them.
+enum class ServingBackend : std::uint8_t {
+  kNone = 0,          ///< no backend answered (unknown / shed / failed)
+  kCache = 1,         ///< broker answer cache
+  kCluster = 2,       ///< the monitor's own backend (cluster timestamps, or
+                      ///< precomputed FM for an FM-backed monitor)
+  kDifferential = 3,  ///< the epoch's shared DifferentialStore
+  kOnDemandFm = 4,    ///< the broker's own OnDemandFmEngine
+};
+
+const char* to_string(ServingBackend b);
+
+/// The more degraded of two sources. A multi-test query reports the most
+/// degraded source it consulted.
+inline ServingBackend worse(ServingBackend a, ServingBackend b) {
+  return a >= b ? a : b;
+}
+
+/// True for an answer served past the cluster link: exact, but the chain
+/// had to fall back.
+inline bool degraded(ServingBackend b) { return b > ServingBackend::kCluster; }
 
 enum class QueryOutcome : std::uint8_t {
   kAnswered,         ///< exact answer produced
@@ -130,18 +147,6 @@ struct BrokerHealth {
   }
 };
 
-/// The pre-registry hard-coded chain: cluster → differential → on-demand
-/// FM. (push_back instead of an initializer list: GCC 12's
-/// -Wmaybe-uninitialized misfires on initializer_list NSDMIs once inlined.)
-inline std::vector<ServingBackend> default_broker_chain() {
-  std::vector<ServingBackend> chain;
-  chain.reserve(3);
-  chain.push_back(ServingBackend::kCluster);
-  chain.push_back(ServingBackend::kDifferential);
-  chain.push_back(ServingBackend::kOnDemandFm);
-  return chain;
-}
-
 struct BrokerOptions {
   /// Cap on *queued* (admitted, not yet executing) queries; 0 = unbounded.
   std::size_t max_queue = 64;
@@ -151,10 +156,6 @@ struct BrokerOptions {
   std::uint64_t default_deadline = 0;
   /// Precedence-answer cache entries; 0 disables the cache.
   std::size_t answer_cache_capacity = 4096;
-  /// Checkpoint interval of the differential fallback backend.
-  std::size_t differential_interval = 16;
-  /// LRU capacity of the on-demand FM fallback backend.
-  std::size_t ondemand_cache_capacity = 256;
   /// Consecutive backend faults (CheckFailure) that trip its breaker.
   std::size_t breaker_failure_threshold = 3;
   /// While a non-audited backend's breaker is open, every Nth bypassing
@@ -164,42 +165,37 @@ struct BrokerOptions {
   /// audit_step() is called explicitly.
   std::size_t audit_stride = 0;
   AuditOptions audit;
-  /// The fallback chain, walked front to back after the answer cache. Every
-  /// entry must name a registered CausalityBackend (no duplicates, no
-  /// kNone/kCache). The default reproduces the pre-registry hard-coded
-  /// chain exactly; see docs/BACKENDS.md for extending it.
-  std::vector<ServingBackend> chain = default_broker_chain();
 };
 
 /// One serving epoch's delivered state, immutable once frozen: the
-/// delivered trace, the chain links whose state is a full replay of it
-/// (RebuildCost::kFullReplay; see docs/BACKENDS.md for what sharing them
-/// requires), and the cluster digests the integrity audit starts from.
-/// Brokers hold it through shared_ptr<const FrozenDelivery>.
+/// delivered trace, the differential store built over it (the chain's one
+/// full-replay link; see docs/BACKENDS.md for what sharing it requires),
+/// and the cluster digests the integrity audit starts from. Brokers hold it
+/// through shared_ptr<const FrozenDelivery>.
 class FrozenDelivery {
  public:
-  /// Freezes `monitor`'s delivered state for brokers built with `options`.
-  /// `digests` must be monitor.cluster_digests(), taken while the stored
-  /// timestamps are known good.
+  /// Freezes `monitor`'s delivered state. `digests` must be
+  /// monitor.cluster_digests(), taken while the stored timestamps are
+  /// known good.
   static std::shared_ptr<const FrozenDelivery> freeze(
-      const MonitoringEntity& monitor, const BrokerOptions& options,
-      ClusterDigests digests);
+      const MonitoringEntity& monitor, ClusterDigests digests);
 
   FrozenDelivery(const FrozenDelivery&) = delete;
   FrozenDelivery& operator=(const FrozenDelivery&) = delete;
 
   const Trace& trace() const { return trace_; }
   const ClusterDigests& digests() const { return digests_; }
-  /// The shared link serving `b`, or null when brokers build `b` themselves
-  /// (kCluster and any link whose rebuild cost is not a full replay).
-  CausalityBackend* shared_link(ServingBackend b) const;
+  const DifferentialStore& differential() const { return differential_; }
 
  private:
+  /// Checkpoint interval of the differential store.
+  static constexpr std::size_t kDifferentialInterval = 16;
+
   FrozenDelivery(Trace trace, ClusterDigests digests);
 
-  Trace trace_;  ///< the shared links below hold references into it
+  Trace trace_;  ///< differential_ holds a reference into it
   ClusterDigests digests_;
-  std::vector<std::unique_ptr<CausalityBackend>> links_;
+  DifferentialStore differential_;
 };
 
 class QueryBroker {
@@ -211,8 +207,8 @@ class QueryBroker {
               BrokerOptions options = {});
 
   /// Serves `frozen`, which must have been frozen from a replica holding
-  /// the same delivered state as `monitor` with the same `options`
-  /// (CT_CHECKed: total and per-process delivered event counts).
+  /// the same delivered state as `monitor` (CT_CHECKed: total and
+  /// per-process delivered event counts).
   QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
               BrokerOptions options,
               std::shared_ptr<const FrozenDelivery> frozen);
@@ -260,11 +256,8 @@ class QueryBroker {
   AuditStats audit_stats() const;
   const BrokerOptions& options() const { return options_; }
   /// The frozen delivered state this broker serves.
+  const FrozenDelivery& frozen() const { return *frozen_; }
   const Trace& delivered() const { return frozen_->trace(); }
-
-  /// The constructed fallback chain (registry-built; options().chain order).
-  std::size_t chain_length() const { return chain_.size(); }
-  const CausalityBackend& link(std::size_t i) const { return *chain_[i]; }
 
  private:
   enum class ChainStatus : std::uint8_t { kOk, kDeadline, kUnknown, kFailed };
@@ -284,11 +277,12 @@ class QueryBroker {
     std::uint64_t clean_streak = 0;
   };
 
-  /// Chain position of a link id; CT_CHECKs membership.
-  std::size_t slot(ServingBackend b) const;
-  /// Degradation rank for "most degraded source consulted" reporting:
-  /// kNone < kCache < chain position.
-  ServingBackend worse(ServingBackend a, ServingBackend b) const;
+  /// The fallback chain, in the order chain_precedes walks it.
+  static constexpr std::array<ServingBackend, 3> kChain = {
+      ServingBackend::kCluster, ServingBackend::kDifferential,
+      ServingBackend::kOnDemandFm};
+  /// LRU capacity of the on-demand FM link.
+  static constexpr std::size_t kOnDemandCacheCapacity = 256;
 
   using PairKey = std::pair<std::uint64_t, std::uint64_t>;
   struct PairKeyHash {
@@ -305,24 +299,29 @@ class QueryBroker {
   /// One precedence test through cache + fallback chain.
   ChainStatus chain_precedes(EventId e, EventId f, QueryCost& cost,
                              bool* answer, ServingBackend* used);
+  /// One link's exact answer, or nullopt when `cost`'s budget runs out.
+  std::optional<bool> link_precedes(ServingBackend link, EventId e,
+                                    EventId f, QueryCost& cost);
   static ChainStatus worse_of_failures(ChainStatus a, ChainStatus b);
-  void note_failure(std::size_t slot);
+  /// The breaker of chain link `b` (caller holds mu_); CT_CHECKs that `b`
+  /// is a chain link.
+  Breaker& breaker(ServingBackend b);
+  const Breaker& breaker(ServingBackend b) const;
+  void note_failure(ServingBackend b);
   bool validate(const Job& job) const;
 
   MonitoringEntity& monitor_;
   ThreadPool& pool_;
   BrokerOptions options_;
 
+  /// Serves the differential link and the trace the on-demand link
+  /// replays. The cluster link reads monitor_ under an epoch pin (the only
+  /// read discipline).
   std::shared_ptr<const FrozenDelivery> frozen_;
-  /// The fallback links in options_.chain order. The kCluster link reaches
-  /// the monitor through a hook that pins the global epoch domain around
-  /// each read (the only read discipline); full-replay links alias
-  /// frozen_'s shared ones; the rest are this broker's own, built over
-  /// frozen_'s trace.
-  std::vector<std::shared_ptr<CausalityBackend>> chain_;
-  /// Chain position of kCluster, when present (audit readmission and the
-  /// batch bulk fast path are cluster-specific).
-  std::optional<std::size_t> cluster_slot_;
+  /// The on-demand FM link: this broker's own, serialized on ondemand_mu_
+  /// because its reconstruction cache mutates.
+  std::mutex ondemand_mu_;
+  OnDemandFmEngine ondemand_;
   std::unique_ptr<SynchronizedLruCache<PairKey, bool, PairKeyHash>>
       answer_cache_;
   std::unique_ptr<IntegrityAuditor> auditor_;
@@ -336,7 +335,7 @@ class QueryBroker {
   std::size_t scheduled_ = 0;  ///< pool tasks submitted, not yet finished
   std::uint64_t resolved_since_audit_ = 0;
   BrokerHealth health_;
-  std::vector<Breaker> breakers_;  ///< one per chain link, same order
+  std::array<Breaker, kChain.size()> breakers_;  ///< in kChain order
 };
 
 }  // namespace ct

@@ -11,16 +11,6 @@ namespace ct {
 
 namespace {
 
-/// Fallbacks past the shard's primary path make an answer degraded at the
-/// router grain (exact, but the shard had to reach past its own backend).
-bool degraded_backend(ServingBackend b) {
-  return b == ServingBackend::kDifferential || b == ServingBackend::kOnDemandFm;
-}
-
-ServingBackend worse(ServingBackend a, ServingBackend b) {
-  return static_cast<std::uint8_t>(a) >= static_cast<std::uint8_t>(b) ? a : b;
-}
-
 /// Coherence digest of one replica: the delivered-state digest folded with
 /// every cluster's stored-timestamp digest. state_digest() alone covers the
 /// delivery log and frontier but not the mutable timestamp store, so a
@@ -273,7 +263,7 @@ void ShardRouter::open_epoch() {
     //    corruption is planted; its digests are the vote's.
     if (digests.empty()) continue;  // every replica retired
     const auto frozen = FrozenDelivery::freeze(
-        *ten.shards[digests[winner].first].monitor, ten.config.broker,
+        *ten.shards[digests[winner].first].monitor,
         std::move(digests[winner].second.clusters));
     for (ShardId s = 0; s < ten.shards.size(); ++s) {
       Shard& sh = ten.shards[s];
@@ -625,10 +615,11 @@ RouterQueryResult ShardRouter::run_single(Tenant& ten, QueryKind kind,
       // for the whole epoch, whatever backend served: its broker's audit
       // may repair and re-admit the cluster backend mid-epoch, and its
       // answer cache serves exact hits, but the router only re-certifies
-      // the replica at the next epoch's coherence check.
+      // the replica at the next epoch's coherence check. An answer served
+      // past the shard's cluster link is degraded at the router grain too.
       const bool killswitched = !ten.shards[s].corrupted.empty();
       out.outcome =
-          (k > 0 || killswitched || degraded_backend(out.backend_used))
+          (k > 0 || killswitched || degraded(out.backend_used))
               ? RouterOutcome::kDegraded
               : RouterOutcome::kAnswered;
       return out;
@@ -705,14 +696,15 @@ RouterQueryResult ShardRouter::run_batch(
         r.outcome == QueryOutcome::kShed) {
       continue;  // nothing trustworthy came back; phase 2 retries the slice
     }
-    const bool degraded = degraded_backend(r.backend_used) || fl.killswitched;
+    const bool slice_degraded = degraded(r.backend_used) || fl.killswitched;
     out.backend_used = worse(out.backend_used, r.backend_used);
     for (std::size_t j = 0; j < fl.indices->size(); ++j) {
       const std::size_t idx = (*fl.indices)[j];
       if (j < r.batch.size() && r.batch[j].has_value()) {
         out.batch[idx] = r.batch[j];
         out.batch_outcome[idx] =
-            degraded ? RouterOutcome::kDegraded : RouterOutcome::kAnswered;
+            slice_degraded ? RouterOutcome::kDegraded
+                           : RouterOutcome::kAnswered;
       }
     }
   }

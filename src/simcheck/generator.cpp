@@ -256,8 +256,7 @@ SimSchedule generate_schedule(std::uint64_t seed,
   // valid. Positions index the emit stream before any insertion.
   std::vector<std::pair<std::size_t, SimOp>> inserts;
   inserts.emplace_back(
-      n, make_probe(0, SimOp::kProbeBroker | SimOp::kProbeFrontier |
-                           SimOp::kProbeTreeChain));
+      n, make_probe(0, SimOp::kProbeBroker | SimOp::kProbeFrontier));
   inserts.emplace_back((3 * n) / 4,
                        make_probe(random_deadline(),
                                   rng.chance(0.8) ? SimOp::kProbeBroker |

@@ -23,7 +23,6 @@
 #include "monitor/query_broker.hpp"
 #include "recluster/coordinator.hpp"
 #include "timestamp/ondemand_fm.hpp"
-#include "timestamp/tree_clock_store.hpp"
 #include "trace/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -86,9 +85,6 @@ class BackendInstance {
         engine_ = build_engine(t, cfg);
         recursive_ = cfg.backend == SimBackend::kRecursive;
         break;
-      case SimBackend::kTreeClock:
-        tree_ = std::make_unique<TreeClockStore>(t);
-        break;
       case SimBackend::kCompact: {
         engine_ = build_engine(t, cfg);
         CompactTimestampStore::Options so;
@@ -130,7 +126,6 @@ class BackendInstance {
   }
 
   bool precedes(EventId e, EventId f) {
-    if (tree_) return tree_->precedes(e, f);
     const Event& ev_e = trace_.event(e);
     const Event& ev_f = trace_.event(f);
     if (hybrid_) return hybrid_->precedes(ev_e, ev_f);
@@ -159,7 +154,6 @@ class BackendInstance {
   std::unique_ptr<ClusterTimestampEngine> engine_;
   std::unique_ptr<BatchHybridEngine> hybrid_;
   std::unique_ptr<CompactTimestampStore> store_;
-  std::unique_ptr<TreeClockStore> tree_;
   std::unordered_map<std::uint64_t, ClusterTimestamp> decoded_;
   bool recursive_ = false;
 };
@@ -173,7 +167,6 @@ const char* to_string(SimBackend b) {
     case SimBackend::kRecursive: return "recursive";
     case SimBackend::kBatchHybrid: return "batch-hybrid";
     case SimBackend::kBroker: return "broker";
-    case SimBackend::kTreeClock: return "tree-clock";
   }
   return "?";
 }
@@ -226,22 +219,7 @@ std::vector<OracleConfig> full_matrix() {
       out.push_back(OracleConfig{SimBackend::kBroker, s, cs});
     }
   }
-  // Tree-clock row: cluster-free (strategy and maxCS do not apply).
-  out.push_back(
-      OracleConfig{SimBackend::kTreeClock, SimStrategy::kMergeFirst, 16});
   return out;
-}
-
-std::vector<OracleConfig> backend_matrix() {
-  // The tree-clock row, one engine reference row, and broker rows; broker
-  // probes with the kProbeTreeChain flag run the extended chain through the
-  // registry.
-  return {
-      OracleConfig{SimBackend::kTreeClock, SimStrategy::kMergeFirst, 16},
-      OracleConfig{SimBackend::kEngine, SimStrategy::kMergeFirst, 16},
-      OracleConfig{SimBackend::kBroker, SimStrategy::kMergeFirst, 16},
-      OracleConfig{SimBackend::kBroker, SimStrategy::kMergeNth, 8},
-  };
 }
 
 SimReport run_schedule(const SimSchedule& schedule,
@@ -348,25 +326,11 @@ SimReport run_schedule(const SimSchedule& schedule,
         ThreadPool pool(2);
         BrokerOptions bo;
         bo.audit_stride = 16;
-        // The tree-chain flag swaps in the extended registry chain; the
-        // flag is baked into the op, so replays without it keep the exact
-        // pre-existing chain AND prng draw sequence.
-        const bool tree_chain = (op.d & SimOp::kProbeTreeChain) != 0;
-        if (tree_chain) {
-          bo.chain.clear();
-          bo.chain.push_back(ServingBackend::kCluster);
-          bo.chain.push_back(ServingBackend::kTreeClock);
-          bo.chain.push_back(ServingBackend::kDifferential);
-          bo.chain.push_back(ServingBackend::kOnDemandFm);
-        }
         QueryBroker broker(fresh, pool, bo);
         // Seeded degradation: force the chain past its primary sometimes.
         if (prng.chance(0.5)) broker.trip_backend(ServingBackend::kCluster);
         if (prng.chance(0.25)) {
           broker.trip_backend(ServingBackend::kDifferential);
-        }
-        if (tree_chain && prng.chance(0.3)) {
-          broker.trip_backend(ServingBackend::kTreeClock);
         }
         const std::optional<std::uint64_t> deadline =
             op.c == 0 ? std::optional<std::uint64_t>{}
@@ -389,7 +353,7 @@ SimReport run_schedule(const SimSchedule& schedule,
             return;
           }
           if (r.outcome != QueryOutcome::kAnswered) continue;  // degraded, not wrong
-          ++report.checks;
+          ++report.broker_checks;
           const bool got =
               apply_hook(cfg, pairs[k].first, pairs[k].second, *r.answer);
           if (got != expected[k]) {
@@ -405,7 +369,7 @@ SimReport run_schedule(const SimSchedule& schedule,
         if (batch.outcome == QueryOutcome::kAnswered) {
           for (std::size_t k = 0; k < pairs.size(); ++k) {
             if (!batch.batch[k].has_value()) continue;
-            ++report.checks;
+            ++report.broker_checks;
             const bool got =
                 apply_hook(cfg, pairs[k].first, pairs[k].second,
                            *batch.batch[k]);
@@ -418,7 +382,7 @@ SimReport run_schedule(const SimSchedule& schedule,
         }
         QueryResult fr = frontier_future.get();
         if (want_frontier && fr.outcome == QueryOutcome::kAnswered) {
-          ++report.checks;
+          ++report.broker_checks;
           if (fr.frontiers->greatest_predecessor !=
                   truth_frontier.greatest_predecessor ||
               fr.frontiers->greatest_concurrent !=

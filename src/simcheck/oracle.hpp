@@ -38,7 +38,6 @@ enum class SimBackend : std::uint8_t {
   kRecursive,    ///< recursive_precedes over engine-stored rows
   kBatchHybrid,  ///< BatchHybridEngine (§5 variant 1)
   kBroker,       ///< QueryBroker fallback chain over a fresh monitor
-  kTreeClock,    ///< TreeClockStore (Mathur/Tunç tree clocks)
 };
 
 enum class SimStrategy : std::uint8_t {
@@ -64,18 +63,10 @@ struct OracleConfig {
 };
 
 /// The full verification matrix: every cluster backend × strategy × maxCS ∈
-/// {4, 16, 64} (the compact rows once per record grammar), plus one
-/// cluster-free tree-clock row (strategy and maxCS do not apply). The broker
-/// rows are restricted to the dynamic strategies (its monitor
-/// self-organizes; preset partitions are covered by the direct engine
-/// rows).
+/// {4, 16, 64} (the compact rows once per record grammar). The broker rows
+/// are restricted to the dynamic strategies (its monitor self-organizes;
+/// preset partitions are covered by the direct engine rows).
 std::vector<OracleConfig> full_matrix();
-
-/// The backend-axis slice (`simcheck_driver --matrix=backend`): the
-/// tree-clock row, a cluster-engine reference row, and broker rows whose
-/// probes exercise the extended registry chain. Small enough that a
-/// many-schedule sweep hits the new backend in every rotation window.
-std::vector<OracleConfig> backend_matrix();
 
 /// Test-only hooks. `mutate` may flip a backend's precedence answer before
 /// the comparison — the planted "oracle bug" of the mutation check; a
@@ -97,7 +88,13 @@ struct SimReport {
   std::size_t ops_run = 0;
   std::size_t probes = 0;
   std::size_t configs_checked = 0;  ///< config × probe combinations
-  std::uint64_t checks = 0;         ///< individual comparisons performed
+  /// Individual comparisons performed outside broker probes; equal on every
+  /// replay of one schedule.
+  std::uint64_t checks = 0;
+  /// Comparisons of broker-probe answers. A broker probe runs on a
+  /// two-thread pool with a shared answer cache under work-tick deadlines,
+  /// so how many answers beat their deadline depends on scheduling.
+  std::uint64_t broker_checks = 0;
   std::optional<SimDivergence> divergence;  ///< first divergence, if any
 
   bool ok() const { return !divergence.has_value(); }

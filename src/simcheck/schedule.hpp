@@ -62,12 +62,8 @@ struct SimOp {
   static constexpr std::uint64_t kProbeBroker = 1;
   /// kProbe flag: also cross-check one event's causal frontiers.
   static constexpr std::uint64_t kProbeFrontier = 2;
-  /// kProbe flag: broker probes run the EXTENDED fallback chain (cluster →
-  /// tree clock → differential → on-demand FM) instead of the default, so
-  /// the registry-built tree-clock link serves under breaker/deadline
-  /// pressure. Baked into the op (not drawn at replay time) so old corpus
-  /// replays keep their exact prng sequences.
-  static constexpr std::uint64_t kProbeTreeChain = 4;
+  // Flag 4 once chose an extended broker chain. Older replays still carry
+  // it; probes ignore it and serve the one fixed chain.
 
   friend bool operator==(const SimOp&, const SimOp&) = default;
 };

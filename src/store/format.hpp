@@ -26,9 +26,9 @@
 // footer CRC is verified before a single manifest byte is trusted. Block
 // CRCs localize corruption to a byte range (the tagged errors the recovery
 // ladder reports); the per-column FNV digest is the whole-column second
-// opinion. The arena columns mirror exactly what the engine's
-// precedes_arena reads, so a mapped snapshot answers precedence with zero
-// replay — cold start is O(map), not O(WAL).
+// opinion. The arena columns mirror exactly what
+// ClusterTimestampEngine::precedes reads, so a mapped snapshot answers
+// precedence with zero replay — cold start is O(map), not O(WAL).
 #pragma once
 
 #include <cstddef>

@@ -94,7 +94,7 @@ class MappedSnapshot {
   EventIndex delivered_count(ProcessId p) const;
 
   /// Happened-before from the mapped arena columns — the same algorithm as
-  /// ClusterTimestampEngine::precedes_arena, byte for byte of state. Both
+  /// ClusterTimestampEngine::precedes, byte for byte of state. Both
   /// events must be within this snapshot's delivered prefix; requires
   /// has_arena() and a verify_structure() pass (fast path is CT_DCHECK-only).
   bool precedes(const Event& e, const Event& f) const;

@@ -12,7 +12,7 @@
 //
 // Three independent features, selected per use site:
 //  * hot pool   — append-only SoA rows + offset handles (the engine's
-//                 timestamp store, FmStore, TreeClockStore);
+//                 timestamp store, FmStore);
 //  * interning  — content dedup of identical rows: sync halves carry equal
 //                 vectors, and repeated projections between receives often
 //                 coincide, so equal rows share pool storage (handles stay

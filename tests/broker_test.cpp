@@ -639,8 +639,7 @@ TEST(QueryBroker, FrozenDeliveryOfAnotherStateIsACheckedError) {
 
   ThreadPool pool(2);
   const BrokerOptions options;
-  const auto frozen =
-      FrozenDelivery::freeze(leader, options, leader.cluster_digests());
+  const auto frozen = FrozenDelivery::freeze(leader, leader.cluster_digests());
   {
     QueryBroker shared(replica, pool, options, frozen);
     EXPECT_EQ(&shared.delivered(), &frozen->trace());
@@ -663,8 +662,8 @@ TEST(QueryBroker, FrozenDeliveryOfAnotherStateIsACheckedError) {
   MonitoringEntity even_monitor(2, broker_monitor_options(even));
   feed(skewed_monitor, skewed);
   feed(even_monitor, even);
-  const auto skewed_frozen = FrozenDelivery::freeze(
-      skewed_monitor, options, skewed_monitor.cluster_digests());
+  const auto skewed_frozen =
+      FrozenDelivery::freeze(skewed_monitor, skewed_monitor.cluster_digests());
   EXPECT_THROW((QueryBroker{even_monitor, pool, options, skewed_frozen}),
                CheckFailure);
 }
@@ -853,6 +852,12 @@ TEST(EpochPublication, BrokerAnswersStayExactDuringRebuildStorm) {
       }
     }
   });
+  // Queries start once the storm has published a rebuild, so they race it
+  // even when the queries alone would finish before the thread is first
+  // scheduled.
+  while (rebuilds.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   struct Submitted {
     EventId e = kNoEvent, f = kNoEvent;           // precedence

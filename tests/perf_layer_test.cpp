@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <random>
 #include <string>
@@ -445,33 +444,7 @@ constexpr EventIndex kEdgeValues[] = {
     0u, 1u, 0x7fff'ffffu, 0x8000'0000u, 0xffff'fffeu,
     std::numeric_limits<EventIndex>::max()};
 
-/// Vector dominance by the standard library, for all_leq to be checked
-/// against.
-bool std_all_leq(const EventIndex* a, const EventIndex* b, std::size_t n) {
-  return std::equal(a, a + n, b, std::less_equal<EventIndex>{});
-}
-
-TEST(Kernels, AllLeqMatchesReferenceOnEdgeValues) {
-  // Exhaustive over edge-value pairs at length 1 and 2: the comparison must
-  // be exact over the FULL unsigned range, including the sign-bit boundary
-  // 2^31.
-  for (const EventIndex a0 : kEdgeValues) {
-    for (const EventIndex b0 : kEdgeValues) {
-      const bool want1 = a0 <= b0;
-      EXPECT_EQ(kernels::all_leq(&a0, &b0, 1), want1) << a0 << " " << b0;
-      for (const EventIndex a1 : kEdgeValues) {
-        for (const EventIndex b1 : kEdgeValues) {
-          const EventIndex a[2] = {a0, a1};
-          const EventIndex b[2] = {b0, b1};
-          EXPECT_EQ(kernels::all_leq(a, b, 2), std_all_leq(a, b, 2))
-              << a0 << "," << a1 << " vs " << b0 << "," << b1;
-        }
-      }
-    }
-  }
-}
-
-TEST(Kernels, AllLeqAndMaxIntoMatchReferenceAtWordBoundaries) {
+TEST(Kernels, MaxIntoMatchesReferenceAtWordBoundaries) {
   std::mt19937 rng(752);
   // Mix small values (the common case) with edge values at random slots.
   const auto fill = [&rng](std::vector<EventIndex>& v) {
@@ -487,15 +460,11 @@ TEST(Kernels, AllLeqAndMaxIntoMatchReferenceAtWordBoundaries) {
       std::vector<EventIndex> a(n), b(n);
       fill(a);
       fill(b);
-      // Bias towards near-equal vectors so all_leq exercises both outcomes.
+      // Bias towards near-equal vectors so ties and single-slot wins occur.
       if (rep % 2 == 0) b = a;
       if (rep % 4 == 0 && n > 0) {
         b[rng() % n] += static_cast<EventIndex>(rng() % 3);
       }
-
-      ASSERT_EQ(kernels::all_leq(a.data(), b.data(), n),
-                std_all_leq(a.data(), b.data(), n))
-          << "n=" << n << " rep=" << rep;
 
       std::vector<EventIndex> got = a, want = a;
       kernels::max_into(got.data(), b.data(), n);

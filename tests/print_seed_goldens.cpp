@@ -4,7 +4,6 @@
 // change. Any unexplained diff here is a seed-stability break.
 #include <cstdio>
 
-#include "timestamp/tree_clock_store.hpp"
 #include "trace/digest.hpp"
 #include "trace/generators.hpp"
 #include "trace/suite.hpp"
@@ -15,12 +14,6 @@ namespace {
 void print_direct(const char* name, const Trace& t) {
   std::printf("      {\"%s\", 0x%016llxull},\n", name,
               static_cast<unsigned long long>(trace_digest(t)));
-}
-
-void print_tree_clock(const char* name, const Trace& t) {
-  const TreeClockStore store(t);
-  std::printf("      {\"%s\", 0x%016llxull},\n", name,
-              static_cast<unsigned long long>(store.state_digest()));
 }
 
 int run() {
@@ -90,26 +83,6 @@ int run() {
   print_direct("adversarial",
                generate_adversarial({.processes = 12, .groups = 3,
                                      .messages = 90, .seed = 3}));
-
-  // Tree-clock backend state digests (kTreeClockGoldens): deterministic
-  // replay state of the new backend over fixed seeds.
-  std::printf("// ---- tree-clock goldens ----\n");
-  print_tree_clock("ring",
-                   generate_ring({.processes = 10, .iterations = 6,
-                                  .seed = 3}));
-  print_tree_clock("uniform_random",
-                   generate_uniform_random({.processes = 12, .messages = 80,
-                                            .seed = 3}));
-  print_tree_clock("rpc_business",
-                   generate_rpc_business({.groups = 3, .clients_per_group = 2,
-                                          .servers_per_group = 2, .calls = 60,
-                                          .seed = 3}));
-  print_tree_clock("master_worker",
-                   generate_master_worker({.processes = 12, .tasks = 40,
-                                           .pods = 2, .seed = 3}));
-  print_tree_clock("adversarial",
-                   generate_adversarial({.processes = 12, .groups = 3,
-                                         .messages = 90, .seed = 3}));
   return 0;
 }
 

@@ -263,9 +263,7 @@ TEST(ShardRouter, CorruptClusterRepairOnManyClustersLeavesReplicasCoherent) {
 TEST(ShardRouter, CoherentReplicasShareOneFrozenDelivery) {
   const Trace t = small_trace();
   ShardRouter router;
-  TenantConfig tc = small_tenant(t);
-  tc.broker.chain.push_back(ServingBackend::kTreeClock);
-  const TenantId ten = router.add_tenant(tc);
+  const TenantId ten = router.add_tenant(small_tenant(t));
   feed(router, ten, t);
   router.mutable_shard_monitor(ten, 2).inject_timestamp_corruption(
       all_events(t).back(), 0, 0x7777);
@@ -278,18 +276,17 @@ TEST(ShardRouter, CoherentReplicasShareOneFrozenDelivery) {
   ASSERT_NE(b, nullptr);
   // The quarantined replica has no broker, so it holds neither.
   EXPECT_EQ(router.shard_broker(ten, 2), nullptr);
+  // One frozen state: one delivered trace and one differential link.
+  EXPECT_EQ(&a->frozen(), &b->frozen());
   EXPECT_EQ(&a->delivered(), &b->delivered());
-  ASSERT_EQ(a->chain_length(), 4u);
-  std::size_t shared = 0;
-  for (std::size_t i = 0; i < a->chain_length(); ++i) {
-    const bool full_replay = a->link(i).capabilities().rebuild_cost ==
-                             RebuildCost::kFullReplay;
-    EXPECT_EQ(&a->link(i) == &b->link(i), full_replay) << a->link(i).name();
-    if (full_replay) ++shared;
-  }
-  EXPECT_EQ(shared, 2u);  // differential and tree clock
-  EXPECT_EQ(&a->link(1), &b->link(1));
-  EXPECT_EQ(a->link(1).id(), ServingBackend::kDifferential);
+  EXPECT_EQ(&a->frozen().differential(), &b->frozen().differential());
+  // The cluster link reads each broker's own monitor behind its own
+  // breaker (as does the on-demand FM link, a member of each broker): a
+  // kill switch on one replica leaves the other's cluster link serving.
+  router.inject_shard_fault(ten, 0, ShardFault::kCorruptCluster);
+  EXPECT_TRUE(a->backend_open(ServingBackend::kCluster));
+  EXPECT_FALSE(b->backend_open(ServingBackend::kCluster));
+  EXPECT_FALSE(a->backend_open(ServingBackend::kDifferential));
   router.close_epoch();
   EXPECT_EQ(router.shard_broker(ten, 0), nullptr);
 }

@@ -13,8 +13,12 @@
 //
 //   simcheck_driver --seed=1 --schedules=500 --configs-per-schedule=6
 //   simcheck_driver --budget=30            # stop after ~30 wall seconds
-//   simcheck_driver --matrix=backend       # backend-axis slice only
 //   simcheck_driver --replay=tests/simcheck_corpus/foo.ctsim
+//
+// "checks" counts the comparisons every replay of a schedule repeats
+// exactly; "broker checks" counts broker-probe answers, whose number
+// depends on how many beat their work-tick deadline under the probe's
+// thread pool.
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -40,9 +44,11 @@ int replay_one(const std::string& path, bool verbose) {
   const std::vector<OracleConfig> matrix = full_matrix();
   const SimReport report = run_schedule(schedule, matrix);
   if (verbose || !report.ok()) {
-    std::printf("replay %s: %zu ops, %zu probes, %llu checks\n", path.c_str(),
-                report.ops_run, report.probes,
-                static_cast<unsigned long long>(report.checks));
+    std::printf("replay %s: %zu ops, %zu probes, %llu checks, %llu broker "
+                "checks\n",
+                path.c_str(), report.ops_run, report.probes,
+                static_cast<unsigned long long>(report.checks),
+                static_cast<unsigned long long>(report.broker_checks));
   }
   if (!report.ok()) {
     const SimDivergence& d = *report.divergence;
@@ -84,12 +90,8 @@ int main(int argc, char** argv) {
     const double budget = args.get_double_or("budget", 0.0);
     const std::string out_dir =
         args.get_or("out-dir", "simcheck-replays");
-    const std::string matrix_name = args.get_or("matrix", "full");
-    CT_CHECK_MSG(matrix_name == "full" || matrix_name == "backend",
-                 "--matrix must be 'full' or 'backend'");
 
-    const std::vector<OracleConfig> matrix =
-        matrix_name == "backend" ? backend_matrix() : full_matrix();
+    const std::vector<OracleConfig> matrix = full_matrix();
     std::vector<std::uint64_t> coverage(matrix.size(), 0);
     const auto start = std::chrono::steady_clock::now();
     auto elapsed = [&start] {
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
     };
 
     std::size_t ran = 0;
-    std::uint64_t total_checks = 0, total_probes = 0;
+    std::uint64_t total_checks = 0, total_broker_checks = 0, total_probes = 0;
     for (std::size_t i = 0; i < schedules; ++i) {
       if (budget > 0.0 && elapsed() > budget) break;
       const std::uint64_t schedule_seed = seed + i;
@@ -118,12 +120,16 @@ int main(int argc, char** argv) {
       const SimReport report = run_schedule(schedule, window);
       ++ran;
       total_checks += report.checks;
+      total_broker_checks += report.broker_checks;
       total_probes += report.probes;
       if (verbose) {
-        std::printf("schedule %llu (%s): %zu ops, %zu probes, %llu checks\n",
-                    static_cast<unsigned long long>(schedule_seed),
-                    schedule.name.c_str(), report.ops_run, report.probes,
-                    static_cast<unsigned long long>(report.checks));
+        std::printf(
+            "schedule %llu (%s): %zu ops, %zu probes, %llu checks, %llu "
+            "broker checks\n",
+            static_cast<unsigned long long>(schedule_seed),
+            schedule.name.c_str(), report.ops_run, report.probes,
+            static_cast<unsigned long long>(report.checks),
+            static_cast<unsigned long long>(report.broker_checks));
       }
       if (report.ok()) continue;
 
@@ -156,11 +162,13 @@ int main(int argc, char** argv) {
       uncovered += c == 0;
     }
     std::printf(
-        "simcheck OK: %zu schedules, %llu probes, %llu checks, %.1fs\n"
+        "simcheck OK: %zu schedules, %llu probes, %llu checks, %llu broker "
+        "checks, %.1fs\n"
         "matrix coverage: %zu configs, visits min=%llu max=%llu, "
         "uncovered=%zu\n",
         ran, static_cast<unsigned long long>(total_probes),
-        static_cast<unsigned long long>(total_checks), elapsed(),
+        static_cast<unsigned long long>(total_checks),
+        static_cast<unsigned long long>(total_broker_checks), elapsed(),
         matrix.size(), static_cast<unsigned long long>(min_cov),
         static_cast<unsigned long long>(max_cov), uncovered);
     return 0;

@@ -101,8 +101,8 @@ TEST(DifferentialOracle, CleanSeedsRunWithoutDivergence) {
 
 TEST(DifferentialOracle, FullMatrixShape) {
   const auto matrix = full_matrix();
-  // 3 backends×4×3 + compact×4×3×2 grammars + broker×2×3 + tree
-  EXPECT_EQ(matrix.size(), 67u);
+  // 3 backends×4×3 + compact×4×3×2 grammars + broker×2×3
+  EXPECT_EQ(matrix.size(), 66u);
   std::set<std::string> labels;
   for (const OracleConfig& cfg : matrix) labels.insert(cfg.label());
   EXPECT_EQ(labels.size(), matrix.size());  // labels are unique

@@ -254,11 +254,15 @@ TEST(ThreadPool, TrySubmitRacingShutdownRunsExactlyTheAccepted) {
     }
     go.store(true);
     pool.shutdown();
-    // Post-shutdown: every accepted task has already executed...
-    EXPECT_EQ(ran.load(), accepted.load()) << "round " << round;
+    // Every accepted task has executed by the time shutdown() returns. A
+    // producer may not have counted an acceptance yet, so compare once
+    // they have all joined.
+    const int ran_at_shutdown = ran.load();
     for (std::thread& p : producers) p.join();
-    // ...and late producers were all refused, never dropped silently.
-    EXPECT_EQ(ran.load(), accepted.load()) << "round " << round;
+    // Late producers were all refused, never run after shutdown and never
+    // dropped silently.
+    EXPECT_EQ(ran_at_shutdown, accepted.load()) << "round " << round;
+    EXPECT_EQ(ran.load(), ran_at_shutdown) << "round " << round;
     EXPECT_FALSE(pool.try_submit([&ran] { ran.fetch_add(1); }));
   }
 }
