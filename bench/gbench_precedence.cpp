@@ -5,8 +5,8 @@
 // (POET/OLT) makes queries O(N) with a large caching-dependent constant;
 // cluster timestamps answer from O(c)-word storage with a bounded number of
 // comparisons. We measure query latency and recomputation volume across
-// process counts on locality workloads, plus substrate throughput (B+-tree,
-// FM engine, cluster engine).
+// process counts on locality workloads, plus substrate throughput (FM
+// engine, cluster engine).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -19,7 +19,6 @@
 #include "core/engine.hpp"
 #include "core/precedence_kernels.hpp"
 #include "core/recursive_precedence.hpp"
-#include "index/bplus_tree.hpp"
 #include "monitor/monitor.hpp"
 #include "timestamp/direct_dependency.hpp"
 #include "timestamp/fm_store.hpp"
@@ -167,7 +166,7 @@ BENCHMARK(BM_Precedence_Recursive)
 
 // ------------------------------------------------------ substrate throughput
 
-// Monitoring-entity ingestion rate: delivery manager + B+-tree index +
+// Monitoring-entity ingestion rate: delivery manager + event store +
 // cluster timestamps, the full §1 pipeline.
 void BM_Monitor_Ingest(benchmark::State& state) {
   const Trace& t = trace_for(static_cast<std::size_t>(state.range(0)));
@@ -213,26 +212,6 @@ void BM_Build_ClusterEngine(benchmark::State& state) {
 BENCHMARK(BM_Build_ClusterEngine)
     ->Arg(100)
     ->Arg(300)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BPlusTree_InsertLookup(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Prng rng(3);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng();
-  for (auto _ : state) {
-    BPlusTree<std::uint64_t, std::uint64_t> tree;
-    for (const auto k : keys) tree.insert_or_assign(k, k);
-    std::uint64_t found = 0;
-    for (const auto k : keys) found += tree.find(k) != nullptr;
-    benchmark::DoNotOptimize(found);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n));
-}
-BENCHMARK(BM_BPlusTree_InsertLookup)
-    ->Arg(1000)
-    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------- answer verification

@@ -3,10 +3,11 @@
 // A web-like parallel program (the kind Object-Level Trace watches) is
 // "executed"; its per-process event streams race to the central monitoring
 // entity in a randomized arrival interleaving. The monitor linearizes them,
-// indexes events in its B+-tree, maintains self-organizing cluster
-// timestamps, and serves the two query types a visualization engine issues:
-// partial-order scrolling and precedence tests. The same session is run with
-// the pre-computed Fidge/Mattern backend for a storage comparison.
+// stores events by (process, event number), maintains self-organizing
+// cluster timestamps, and serves the two query types a visualization
+// engine issues: partial-order scrolling and precedence tests. The same
+// session is run with the pre-computed Fidge/Mattern backend for a storage
+// comparison.
 //
 // Two robustness epilogues follow: the same stream pushed through the
 // seeded fault injector (showing the MonitorHealth accounting), and a

@@ -1,38 +1,21 @@
 #include "core/compact_store.hpp"
 
-#include "core/precedence_kernels.hpp"
 #include "util/check.hpp"
 #include "util/varint.hpp"
 
 namespace ct {
 namespace {
 
-// Absolute grammar — record: varint(header) then components.
+// Record: varint(header) then components.
 //   header = 0                     → full vector; then varint(count) values
 //   header = covered_set_id + 1    → projection over that interned set
 constexpr std::uint64_t kFullHeader = 0;
 
-// Delta grammar (cold-codec scheme) — record: varint(head) then components.
-//   head = 0                   → delta row: same shape as the predecessor,
-//                                components are varint(value - prev) ≥ 0
-//   head = 1                   → full vector; then varint(count), absolute
-//   head = covered_set_id + 2  → projection over that set, absolute
-constexpr std::uint64_t kDeltaHead = 0;
-constexpr std::uint64_t kDeltaFullHead = 1;
-
 }  // namespace
 
 CompactTimestampStore::CompactTimestampStore(std::size_t process_count)
-    : CompactTimestampStore(process_count, Options{}) {}
-
-CompactTimestampStore::CompactTimestampStore(std::size_t process_count,
-                                             Options options)
-    : options_(options),
-      process_count_(process_count),
-      per_process_(process_count) {
+    : process_count_(process_count), per_process_(process_count) {
   CT_CHECK(process_count > 0);
-  CT_CHECK_MSG(options_.checkpoint_every >= 1,
-               "checkpoint stride must be >= 1");
 }
 
 std::uint32_t CompactTimestampStore::intern(
@@ -54,45 +37,13 @@ void CompactTimestampStore::append(EventId id, const ClusterTimestamp& ts) {
   CT_CHECK_MSG(pp.arena.size() < UINT32_MAX, "arena overflow");
   pp.offsets.push_back(static_cast<std::uint32_t>(pp.arena.size()));
 
-  if (!options_.delta) {
-    if (ts.is_full()) {
-      put_varint(pp.arena, kFullHeader);
-      put_varint(pp.arena, ts.values.size());
-    } else {
-      put_varint(pp.arena, intern(ts.covered) + 1);
-    }
-    for (const EventIndex v : ts.values) put_varint(pp.arena, v);
-    ++events_;
-    return;
-  }
-
-  const std::uint64_t head =
-      ts.is_full() ? kDeltaFullHead : intern(ts.covered) + 2;
-  // Delta-eligible: same shape as the predecessor, checkpoint stride not
-  // exhausted, and componentwise monotone (timestamps along a process are;
-  // the check keeps the codec total regardless).
-  bool delta = pp.prev_shape == head &&
-               pp.prev_values.size() == ts.values.size() &&
-               pp.since_checkpoint + 1 < options_.checkpoint_every;
-  for (std::size_t i = 0; i < ts.values.size() && delta; ++i) {
-    delta = pp.prev_values[i] <= ts.values[i];
-  }
-
-  if (delta) {
-    put_varint(pp.arena, kDeltaHead);
-    for (std::size_t i = 0; i < ts.values.size(); ++i) {
-      put_varint(pp.arena, ts.values[i] - pp.prev_values[i]);
-    }
-    ++pp.since_checkpoint;
+  if (ts.is_full()) {
+    put_varint(pp.arena, kFullHeader);
+    put_varint(pp.arena, ts.values.size());
   } else {
-    pp.checkpoints.push_back(id.index);
-    put_varint(pp.arena, head);
-    if (ts.is_full()) put_varint(pp.arena, ts.values.size());
-    for (const EventIndex v : ts.values) put_varint(pp.arena, v);
-    pp.since_checkpoint = 0;
-    pp.prev_shape = head;
+    put_varint(pp.arena, intern(ts.covered) + 1);
   }
-  pp.prev_values = ts.values;
+  for (const EventIndex v : ts.values) put_varint(pp.arena, v);
   ++events_;
 }
 
@@ -102,73 +53,30 @@ ClusterTimestamp CompactTimestampStore::decode(EventId id) const {
   CT_CHECK_MSG(id.index >= 1 && id.index <= pp.offsets.size(),
                "event " << id << " not stored");
 
-  if (!options_.delta) {
-    std::size_t pos = pp.offsets[id.index - 1];
-    ClusterTimestamp ts;
-    const std::uint64_t header = get_varint(pp.arena, pos);
-    std::size_t count;
-    if (header == kFullHeader) {
-      count = get_varint(pp.arena, pos);
-      ts.cluster_receive = true;
-    } else {
-      const std::uint64_t set_id = header - 1;
-      CT_CHECK_MSG(set_id < covered_sets_.size(), "bad covered-set id");
-      ts.covered = covered_sets_[set_id];
-      count = ts.covered->size();
-    }
-    ts.values.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ts.values.push_back(static_cast<EventIndex>(get_varint(pp.arena, pos)));
-    }
-    return ts;
-  }
-
-  // Delta grammar: replay from the latest checkpoint at or before id.
-  const std::size_t k = kernels::count_leq(
-      pp.checkpoints.data(), pp.checkpoints.size(), id.index);
-  CT_CHECK_MSG(k > 0, "no checkpoint before " << id);
-
-  std::uint64_t shape = 0;
-  std::vector<EventIndex> values;
-  for (EventIndex r = pp.checkpoints[k - 1]; r <= id.index; ++r) {
-    std::size_t pos = pp.offsets[r - 1];
-    const std::uint64_t head = get_varint(pp.arena, pos);
-    if (head == kDeltaHead) {
-      CT_CHECK_MSG(shape != 0, "delta record with no predecessor");
-      for (auto& v : values) {
-        v += static_cast<EventIndex>(get_varint(pp.arena, pos));
-      }
-      continue;
-    }
-    shape = head;
-    std::size_t count;
-    if (head == kDeltaFullHead) {
-      count = get_varint(pp.arena, pos);
-    } else {
-      CT_CHECK_MSG(head - 2 < covered_sets_.size(), "bad covered-set id");
-      count = covered_sets_[head - 2]->size();
-    }
-    values.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      values[i] = static_cast<EventIndex>(get_varint(pp.arena, pos));
-    }
-  }
-
+  std::size_t pos = pp.offsets[id.index - 1];
   ClusterTimestamp ts;
-  if (shape == kDeltaFullHead) {
+  const std::uint64_t header = get_varint(pp.arena, pos);
+  std::size_t count;
+  if (header == kFullHeader) {
+    count = get_varint(pp.arena, pos);
     ts.cluster_receive = true;
   } else {
-    ts.covered = covered_sets_[shape - 2];
+    const std::uint64_t set_id = header - 1;
+    CT_CHECK_MSG(set_id < covered_sets_.size(), "bad covered-set id");
+    ts.covered = covered_sets_[set_id];
+    count = ts.covered->size();
   }
-  ts.values = std::move(values);
+  ts.values.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ts.values.push_back(static_cast<EventIndex>(get_varint(pp.arena, pos)));
+  }
   return ts;
 }
 
 std::size_t CompactTimestampStore::bytes() const {
   std::size_t total = covered_words_ * sizeof(ProcessId);
   for (const PerProcess& pp : per_process_) {
-    total += pp.arena.size() + pp.offsets.size() * sizeof(std::uint32_t) +
-             pp.checkpoints.size() * sizeof(EventIndex);
+    total += pp.arena.size() + pp.offsets.size() * sizeof(std::uint32_t);
   }
   return total;
 }

@@ -7,17 +7,8 @@
 // tests that assumption with an implementation a real tool could use: one
 // append-only byte arena per process, covered-process sets interned once
 // and referenced by id, all components varint-coded. Random access is kept
-// via a per-event 32-bit offset table (counted in the footprint).
-//
-// Two record grammars, selected at construction (A/B flag, docs/PERF.md):
-//  * absolute (seed default) — every record self-contained;
-//  * delta — the TsArena cold-codec scheme (timestamp/ts_arena.hpp):
-//    consecutive records of one process with the same shape are coded as
-//    per-slot non-negative deltas against their predecessor, with a full
-//    (absolute) checkpoint record forced at least every checkpoint_every
-//    rows. Components along a process are monotone and mostly unchanged,
-//    so delta records are almost all 1-byte-per-slot zero runs. Random
-//    access replays at most checkpoint_every-1 predecessors.
+// via a per-event 32-bit offset table (counted in the footprint). Every
+// record is self-contained.
 //
 // bench/table_encoded_bytes compares: raw FM (N words), tool-convention FM
 // (300 words), padded cluster words (the paper's accounting), and this
@@ -37,17 +28,7 @@ namespace ct {
 
 class CompactTimestampStore {
  public:
-  struct Options {
-    /// Delta-code records against their same-shape predecessor (cold-codec
-    /// grammar). Off = the seed's absolute records.
-    bool delta = false;
-    /// Delta mode: force an absolute (checkpoint) record at least every
-    /// this many records per process; bounds random-access replay.
-    std::size_t checkpoint_every = 32;
-  };
-
   explicit CompactTimestampStore(std::size_t process_count);
-  CompactTimestampStore(std::size_t process_count, Options options);
 
   /// Appends the timestamp of the next event of its process (index order).
   void append(EventId id, const ClusterTimestamp& ts);
@@ -59,27 +40,18 @@ class CompactTimestampStore {
   std::size_t events() const { return events_; }
 
   /// Exact footprint in bytes: arenas + offset tables + interned covered
-  /// sets (each process id 4 bytes) + the delta mode's checkpoint tables
-  /// + fixed per-process bookkeeping.
+  /// sets (each process id 4 bytes).
   std::size_t bytes() const;
 
  private:
   struct PerProcess {
     std::string arena;
     std::vector<std::uint32_t> offsets;  // arena offset per event
-    /// Delta mode only: event indices (1-based, ascending) holding
-    /// absolute records — the random-access checkpoint table.
-    std::vector<EventIndex> checkpoints;
-    // Encoder state (delta mode): predecessor shape and values.
-    std::vector<EventIndex> prev_values;
-    std::uint64_t prev_shape = 0;  // 0 = none yet
-    std::size_t since_checkpoint = 0;
   };
 
   std::uint32_t intern(
       const std::shared_ptr<const std::vector<ProcessId>>& covered);
 
-  Options options_;
   std::size_t process_count_;
   std::vector<PerProcess> per_process_;
   // Interned covered sets: pointer identity first (snapshots are shared),

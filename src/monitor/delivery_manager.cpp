@@ -45,8 +45,7 @@ DeliveryManager::DeliveryManager(std::size_t process_count, Sink sink,
       queues_(process_count),
       quarantine_(process_count),
       arrived_(process_count, 0),
-      delivered_(process_count, 0),
-      kinds_(process_count) {
+      events_(process_count) {
   CT_CHECK(process_count > 0);
   CT_CHECK(sink_ != nullptr);
 }
@@ -75,10 +74,9 @@ IngestError DeliveryManager::validate(const Event& e) const {
 /// for a sync, the partner slot was delivered without pairing with us.
 bool DeliveryManager::partner_unsatisfiable(const Event& e) const {
   const ProcessId q = e.partner.process;
-  if (delivered_[q] < e.partner.index) return false;  // not yet decided
+  if (delivered_count(q) < e.partner.index) return false;  // not yet decided
   if (e.kind == EventKind::kReceive) {
-    return kinds_[q][e.partner.index - 1] !=
-               static_cast<std::uint8_t>(EventKind::kSend) ||
+    return events_[q][e.partner.index - 1].kind != EventKind::kSend ||
            consumed_sends_.count(e.partner) != 0;
   }
   // kSync: the partner half was delivered already, so it cannot release
@@ -155,7 +153,7 @@ bool DeliveryManager::releasable_head(ProcessId p) const {
   const Event& e = queues_[p].front().event;
   // A hole left by an eviction or a quarantined head blocks the queue: the
   // delivered events of a process must stay a contiguous prefix.
-  if (e.id.index != delivered_[p] + 1) return false;
+  if (e.id.index != delivered_count(p) + 1) return false;
   switch (e.kind) {
     case EventKind::kUnary:
     case EventKind::kSend:
@@ -164,9 +162,8 @@ bool DeliveryManager::releasable_head(ProcessId p) const {
       // The matching send must be part of the delivered order, really be a
       // send, and not have been consumed by another (corrupt) receive.
       const ProcessId q = e.partner.process;
-      return delivered_[q] >= e.partner.index &&
-             kinds_[q][e.partner.index - 1] ==
-                 static_cast<std::uint8_t>(EventKind::kSend) &&
+      return delivered_count(q) >= e.partner.index &&
+             events_[q][e.partner.index - 1].kind == EventKind::kSend &&
              consumed_sends_.count(e.partner) == 0;
     }
     case EventKind::kSync: {
@@ -176,7 +173,7 @@ bool DeliveryManager::releasable_head(ProcessId p) const {
       const ProcessId q = e.partner.process;
       if (queues_[q].empty()) return false;
       const Event& h = queues_[q].front().event;
-      return h.id == e.partner && h.id.index == delivered_[q] + 1 &&
+      return h.id == e.partner && h.id.index == delivered_count(q) + 1 &&
              h.kind == EventKind::kSync && h.partner == e.id;
     }
   }
@@ -189,7 +186,7 @@ bool DeliveryManager::releasable_head(ProcessId p) const {
 bool DeliveryManager::head_poisoned(ProcessId p) const {
   if (queues_[p].empty()) return false;
   const Event& e = queues_[p].front().event;
-  if (e.id.index != delivered_[p] + 1) return false;
+  if (e.id.index != delivered_count(p) + 1) return false;
   if (!e.is_receive_like()) return false;
   if (partner_unsatisfiable(e)) return true;
   if (e.kind == EventKind::kSync) {
@@ -216,14 +213,27 @@ void DeliveryManager::quarantine_head(ProcessId p) {
   ++health_.quarantined;
 }
 
+void DeliveryManager::record(const Event& e) {
+  const ProcessId p = e.id.process;
+  CT_CHECK_MSG(p < events_.size() && delivered_count(p) + 1 == e.id.index,
+               "delivery out of order at " << e.id << " (arrival #"
+                                           << health_.ingested << ")");
+  events_[p].push_back(e);
+  log_.push_back(e.id);
+  if (e.kind == EventKind::kReceive) consumed_sends_.insert(e.partner);
+}
+
 void DeliveryManager::release(ProcessId p) {
-  Event e = queues_[p].front().event;
+  const Event e = queues_[p].front().event;
   queues_[p].pop_front();
   --health_.pending;
-  delivered_[p] = e.id.index;
-  kinds_[p].push_back(static_cast<std::uint8_t>(e.kind));
-  if (e.kind == EventKind::kReceive) consumed_sends_.insert(e.partner);
+  record(e);
   ++health_.delivered;
+  sink_(e);
+}
+
+void DeliveryManager::replay(const Event& e) {
+  record(e);
   sink_(e);
 }
 
@@ -349,24 +359,15 @@ std::vector<Event> DeliveryManager::quarantined_events() const {
   return out;
 }
 
-void DeliveryManager::restore(const std::vector<EventIndex>& delivered_counts,
-                              std::vector<std::vector<std::uint8_t>> kinds,
-                              std::unordered_set<EventId> consumed_sends,
-                              const MonitorHealth& saved) {
-  CT_CHECK_MSG(delivered_counts.size() == queues_.size() &&
-                   kinds.size() == queues_.size(),
-               "restore shape mismatch: " << delivered_counts.size()
-                                          << " processes vs "
-                                          << queues_.size());
+void DeliveryManager::restore(const MonitorHealth& saved) {
   // A snapshot restores into a fresh manager; WAL recovery restores a
   // second time after replaying the log tail. Both are sound because
   // nothing is buffered — restoring over in-flight records would drop them.
   CT_CHECK_MSG(health_.pending == 0 && health_.quarantined == 0,
                "restore into a manager holding in-flight records");
-  arrived_ = delivered_counts;
-  delivered_ = delivered_counts;
-  kinds_ = std::move(kinds);
-  consumed_sends_ = std::move(consumed_sends);
+  for (ProcessId p = 0; p < arrived_.size(); ++p) {
+    arrived_[p] = delivered_count(p);
+  }
   health_ = saved;
   health_.pending = 0;
   health_.quarantined = 0;

@@ -18,6 +18,11 @@
 // the buffer via a cap and a tick-based orphan timeout, evicting the oldest
 // blocked record. Delivered events of each process always form a contiguous,
 // causally closed prefix, so every timestamp backend stays sound under loss.
+//
+// The manager keeps every event it releases, per process and in delivery
+// order. The monitoring entity reads its record store through it, and the
+// release rules above (is the named partner a delivered send?) read the
+// same records.
 #pragma once
 
 #include <cstddef>
@@ -25,11 +30,13 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "model/event.hpp"
 #include "monitor/ingest_result.hpp"
+#include "util/check.hpp"
 
 namespace ct {
 
@@ -61,17 +68,25 @@ class DeliveryManager {
   /// Snapshot of the quarantine only.
   std::vector<Event> quarantined_events() const;
 
-  /// Highest delivered index per process (the delivery frontier).
-  const std::vector<EventIndex>& frontier() const { return delivered_; }
+  /// Delivered events of process `p`: event (p, i) sits at [i - 1]. This is
+  /// the monitor's one record store, and the (process, event number) index
+  /// of §1 — event numbers are dense within a process.
+  std::span<const Event> delivered_events(ProcessId p) const {
+    CT_DCHECK(p < events_.size());
+    return events_[p];
+  }
 
-  /// Checkpoint-restore support: declares `delivered_counts[p]` events per
-  /// process as already delivered outside this manager (replayed from a
-  /// snapshot), with `kinds[p][i-1]` their kinds, `consumed_sends` the sends
-  /// whose receives were delivered, and adopts the saved counters.
-  void restore(const std::vector<EventIndex>& delivered_counts,
-               std::vector<std::vector<std::uint8_t>> kinds,
-               std::unordered_set<EventId> consumed_sends,
-               const MonitorHealth& saved);
+  /// Delivered events in delivery order.
+  std::span<const EventId> delivery_log() const { return log_; }
+
+  /// Checkpoint-restore support: records `e` as delivered outside this
+  /// manager (replayed from a snapshot or WAL tail, in delivery order) and
+  /// hands it to the sink. Follow the replay with restore().
+  void replay(const Event& e);
+
+  /// Checkpoint-restore support: admits the replayed prefix as this
+  /// manager's own and adopts the saved counters.
+  void restore(const MonitorHealth& saved);
 
   /// Durability accounting: records whose WAL frames were lost to a crash
   /// (recovery replayed a shorter prefix than was delivered pre-crash).
@@ -88,12 +103,17 @@ class DeliveryManager {
     IngestError error = IngestError::kNone;
   };
 
+  /// Events of process `p` delivered so far (the delivery frontier).
+  EventIndex delivered_count(ProcessId p) const {
+    return static_cast<EventIndex>(events_[p].size());
+  }
   IngestError validate(const Event& e) const;
   bool partner_unsatisfiable(const Event& e) const;
   bool releasable_head(ProcessId p) const;
   bool head_poisoned(ProcessId p) const;
   void admit(const Event& e, std::uint64_t tick);
   void quarantine_head(ProcessId p);
+  void record(const Event& e);
   void release(ProcessId p);
   void drain();
   void enforce_policy();
@@ -104,11 +124,9 @@ class DeliveryManager {
   DeliveryPolicy policy_;
   std::vector<std::deque<Buffered>> queues_;  // admitted, undelivered
   std::vector<std::map<EventIndex, Quarantined>> quarantine_;
-  std::vector<EventIndex> arrived_;    // highest contiguously admitted index
-  std::vector<EventIndex> delivered_;  // highest index delivered
-  /// Kind of each delivered event, per process — lets the manager refuse to
-  /// release a (corrupt) receive whose named partner is not really a send.
-  std::vector<std::vector<std::uint8_t>> kinds_;
+  std::vector<EventIndex> arrived_;  // highest contiguously admitted index
+  std::vector<std::vector<Event>> events_;  // delivered, per process
+  std::vector<EventId> log_;                // delivered, in delivery order
   /// Sends whose matching receive has been delivered (each send's clock is
   /// consumed exactly once by the FM engines downstream).
   std::unordered_set<EventId> consumed_sends_;

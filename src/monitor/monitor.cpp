@@ -1,7 +1,7 @@
 #include "monitor/monitor.hpp"
 
+#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "model/trace_builder.hpp"
 #include "util/check.hpp"
@@ -25,7 +25,6 @@ MonitoringEntity::MonitoringEntity(std::size_t process_count,
                                    MonitorOptions options)
     : options_(options),
       process_count_(process_count),
-      events_(process_count),
       delivery_(process_count, [this](const Event& e) { deliver(e); },
                 options.delivery) {
   switch (options_.backend) {
@@ -63,7 +62,7 @@ void MonitoringEntity::apply_migration(
                                   << options_.migration_epoch);
   options_.preset_partition = partition;
   auto rebuilt = make_cluster_engine(partition);
-  for (const EventId id : delivery_log_) rebuilt->observe(stored_event(id));
+  for (const EventId id : delivery_log()) rebuilt->observe(stored_event(id));
   options_.migration_epoch = epoch;
   cluster_ = std::move(rebuilt);
 }
@@ -76,10 +75,10 @@ void MonitoringEntity::adopt_engine(
                "migration epoch " << epoch << " not newer than "
                                   << options_.migration_epoch);
   CT_CHECK_MSG(shadow != nullptr, "adopt_engine needs a shadow engine");
-  CT_CHECK_MSG(shadow->stats().events == delivery_log_.size(),
+  CT_CHECK_MSG(shadow->stats().events == stored(),
                "shadow engine observed " << shadow->stats().events
                                          << " events, monitor delivered "
-                                         << delivery_log_.size());
+                                         << stored());
   options_.preset_partition = std::move(partition);
   options_.migration_epoch = epoch;
   cluster_ = std::move(shadow);
@@ -90,64 +89,38 @@ IngestResult MonitoringEntity::ingest(const Event& e) {
 }
 
 void MonitoringEntity::deliver(const Event& e) {
-  const ProcessId p = e.id.process;
-  CT_CHECK_MSG(events_[p].size() + 1 == e.id.index,
-               "delivery out of order at " << e.id << " (process " << p
-                                           << " has " << events_[p].size()
-                                           << " events stored, arrival #"
-                                           << health().ingested << ")");
-  events_[p].push_back(e);
-  // The record handle encodes the event's position directly.
-  index_.insert(e.id, (static_cast<RecordHandle>(p) << 32) | e.id.index);
-  ++store_count_;
-  delivery_log_.push_back(e.id);
-
   if (fm_) {
-    fm_clocks_[p].push_back(fm_->observe(e));
+    fm_clocks_[e.id.process].push_back(fm_->observe(e));
   } else {
     cluster_->observe(e);
   }
   if (tap_) tap_(e);
 }
 
-void MonitoringEntity::replay_delivered(const Event& e) { deliver(e); }
-
-void MonitoringEntity::finish_restore(const MonitorHealth& saved) {
-  std::vector<EventIndex> counts(process_count_, 0);
-  std::vector<std::vector<std::uint8_t>> kinds(process_count_);
-  std::unordered_set<EventId> consumed;
-  for (ProcessId p = 0; p < process_count_; ++p) {
-    counts[p] = static_cast<EventIndex>(events_[p].size());
-    kinds[p].reserve(events_[p].size());
-    for (const Event& e : events_[p]) {
-      kinds[p].push_back(static_cast<std::uint8_t>(e.kind));
-      if (e.kind == EventKind::kReceive) consumed.insert(e.partner);
-    }
-  }
-  delivery_.restore(counts, std::move(kinds), std::move(consumed), saved);
+bool MonitoringEntity::is_delivered(EventId id) const {
+  return id.process < process_count_ && id.index >= 1 &&
+         id.index <= delivery_.delivered_events(id.process).size();
 }
 
 const Event& MonitoringEntity::stored_event(EventId id) const {
-  CT_CHECK_MSG(id.process < events_.size() && id.index >= 1 &&
-                   id.index <= events_[id.process].size(),
-               "event " << id << " has not been delivered");
-  return events_[id.process][id.index - 1];
+  CT_CHECK_MSG(is_delivered(id), "event " << id << " has not been delivered");
+  return delivery_.delivered_events(id.process)[id.index - 1];
 }
 
 std::optional<Event> MonitoringEntity::find(EventId id) const {
-  const auto handle = index_.lookup(id);
-  if (!handle) return std::nullopt;
-  const auto p = static_cast<ProcessId>(*handle >> 32);
-  const auto i = static_cast<EventIndex>(*handle & 0xffffffffu);
-  return events_[p][i - 1];
+  if (!is_delivered(id)) return std::nullopt;
+  return stored_event(id);
 }
 
 void MonitoringEntity::scroll(
     ProcessId p, EventIndex from,
     const std::function<bool(const Event&)>& visit) const {
-  index_.scan_process(p, from, [&](EventId id, RecordHandle) {
-    return visit(stored_event(id));
-  });
+  if (p >= process_count_) return;
+  const std::span<const Event> events = delivery_.delivered_events(p);
+  for (std::size_t i = std::max<EventIndex>(from, 1) - 1; i < events.size();
+       ++i) {
+    if (!visit(events[i])) return;
+  }
 }
 
 bool MonitoringEntity::precedes(EventId e, EventId f) const {
@@ -218,7 +191,7 @@ ClusterDigests MonitoringEntity::cluster_digests() const {
 std::uint64_t MonitoringEntity::rebuild_cluster(ClusterId c) {
   CT_CHECK_MSG(cluster_, "rebuild requires the cluster backend");
   return cluster_->rebuild_cluster(
-      c, delivery_log_,
+      c, delivery_log(),
       [this](EventId id) -> const Event& { return stored_event(id); });
 }
 
@@ -235,9 +208,10 @@ Trace MonitoringEntity::delivered_trace() const {
   // Sends are re-partnered by the builder when their receive is appended;
   // a delivered receive always follows its send in the log (prefix
   // integrity), and sync halves are adjacent, so one forward pass suffices.
+  const std::span<const EventId> log = delivery_log();
   std::unordered_map<EventId, EventId> send_ids;  // original -> rebuilt
-  for (std::size_t i = 0; i < delivery_log_.size(); ++i) {
-    const Event& e = stored_event(delivery_log_[i]);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const Event& e = stored_event(log[i]);
     switch (e.kind) {
       case EventKind::kUnary:
         builder.unary(e.id.process);
@@ -255,8 +229,7 @@ Trace MonitoringEntity::delivered_trace() const {
       }
       case EventKind::kSync:
         // The pair is adjacent in the log; emit it once, at its first half.
-        if (i + 1 < delivery_log_.size() &&
-            delivery_log_[i + 1] == e.partner) {
+        if (i + 1 < log.size() && log[i + 1] == e.partner) {
           builder.sync(e.id.process, e.partner.process);
         }
         break;
@@ -267,7 +240,7 @@ Trace MonitoringEntity::delivered_trace() const {
 
 std::uint64_t MonitoringEntity::timestamp_words() const {
   if (fm_) {
-    return static_cast<std::uint64_t>(store_count_) *
+    return static_cast<std::uint64_t>(stored()) *
            options_.cluster.fm_vector_width;
   }
   return cluster_->stats().encoded_words;
@@ -288,10 +261,11 @@ void MonitoringEntity::export_arena(
 std::uint64_t MonitoringEntity::state_digest() const {
   std::uint64_t h = kFnvOffset;
   fnv_mix(h, process_count_);
-  fnv_mix(h, store_count_);
+  fnv_mix(h, stored());
   for (ProcessId p = 0; p < process_count_; ++p) {
-    fnv_mix(h, events_[p].size());
-    for (const Event& e : events_[p]) {
+    const std::span<const Event> events = delivery_.delivered_events(p);
+    fnv_mix(h, events.size());
+    for (const Event& e : events) {
       fnv_mix(h, (static_cast<std::uint64_t>(e.id.process) << 32) |
                      e.id.index);
       fnv_mix(h, static_cast<std::uint64_t>(e.kind));

@@ -1,8 +1,9 @@
 // The monitoring entity of Figure 1.
 //
 // Composes the substrates: a DeliveryManager that linearizes racing process
-// streams, an event store with a B+-tree (process, event-number) index, and
-// a pluggable timestamp backend — pre-computed Fidge/Mattern vectors (the
+// streams and keeps the delivered events in per-process arrays indexed by
+// event number (§1's (process, event number) lookup), and a pluggable
+// timestamp backend — pre-computed Fidge/Mattern vectors (the
 // "store everything" strategy of §1.1) or self-organizing cluster timestamps
 // (the paper's contribution). Visualization engines and control entities
 // query it for events and precedence.
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "index/event_index.hpp"
 #include "model/event.hpp"
 #include "model/ids.hpp"
 #include "model/trace.hpp"
@@ -89,7 +89,7 @@ class MonitoringEntity {
 
   /// Events buffered awaiting causal prerequisites.
   std::size_t pending() const { return delivery_.pending(); }
-  std::size_t stored() const { return store_count_; }
+  std::size_t stored() const { return delivery_log().size(); }
   std::size_t process_count() const { return process_count_; }
   const MonitorOptions& options() const { return options_; }
 
@@ -113,21 +113,24 @@ class MonitoringEntity {
 
   /// Delivered events of one process.
   EventIndex delivered_count(ProcessId p) const {
-    CT_CHECK_MSG(p < events_.size(), "process " << p << " out of range");
-    return static_cast<EventIndex>(events_[p].size());
+    CT_CHECK_MSG(p < process_count_, "process " << p << " out of range");
+    return static_cast<EventIndex>(delivery_.delivered_events(p).size());
   }
 
   /// Delivered events in delivery order (the replay log a snapshot saves).
-  std::span<const EventId> delivery_log() const { return delivery_log_; }
+  std::span<const EventId> delivery_log() const {
+    return delivery_.delivery_log();
+  }
 
-  /// Point lookup through the B+-tree index.
+  /// Point lookup; nullopt for an event that has not been delivered.
   std::optional<Event> find(EventId id) const;
 
   /// Record of a delivered event; checks that it was delivered.
   const Event& event(EventId id) const { return stored_event(id); }
 
   /// In-process range scan (partial-order scrolling): visits stored events
-  /// of `p` starting at index `from` until the visitor returns false.
+  /// of `p` starting at index `from` (0 reads as 1) until the visitor
+  /// returns false.
   void scroll(ProcessId p, EventIndex from,
               const std::function<bool(const Event&)>& visit) const;
 
@@ -256,6 +259,7 @@ class MonitoringEntity {
   friend struct ColumnarRestorer;
 
   void deliver(const Event& e);
+  bool is_delivered(EventId id) const;
   const Event& stored_event(EventId id) const;
   /// Builds a cluster engine for the configured policy, in hybrid mode when
   /// `partition` is non-empty (the migration/restore path) and dynamic
@@ -263,26 +267,21 @@ class MonitoringEntity {
   std::unique_ptr<ClusterTimestampEngine> make_cluster_engine(
       const std::vector<std::vector<ProcessId>>& partition) const;
   /// Snapshot restore: re-applies one delivered event to the store and
-  /// backends, bypassing the delivery manager.
-  void replay_delivered(const Event& e);
+  /// backends, bypassing the delivery manager's buffering.
+  void replay_delivered(const Event& e) { delivery_.replay(e); }
   /// Snapshot restore: synchronizes the delivery manager with the replayed
   /// state and adopts the saved counters.
-  void finish_restore(const MonitorHealth& saved);
+  void finish_restore(const MonitorHealth& saved) { delivery_.restore(saved); }
 
   MonitorOptions options_;
   std::size_t process_count_;
-
-  std::vector<std::vector<Event>> events_;  // record store, per process
-  EventStoreIndex index_;
-  std::size_t store_count_ = 0;
-  std::vector<EventId> delivery_log_;
 
   // Backends (exactly one active).
   std::unique_ptr<FmEngine> fm_;
   std::vector<std::vector<FmClock>> fm_clocks_;
   std::unique_ptr<ClusterTimestampEngine> cluster_;
 
-  DeliveryManager delivery_;  // must outlive nothing that deliver() touches
+  DeliveryManager delivery_;  // record store; its sink is deliver()
   DeliveryTap tap_;           // durability hook; empty unless installed
 };
 

@@ -594,7 +594,7 @@ RouterQueryResult ShardRouter::run_single(Tenant& ten, QueryKind kind,
   for (std::size_t k = 0; k < ladder.size(); ++k) {
     const ShardId s = ladder[k];
     if (k > 0) {
-      budget = base == 0 ? 0 : budget * options_.backoff_factor;
+      budget = base == 0 ? 0 : budget * kBackoffFactor;
       if (s == owner) {
         ++tally.retries;
         out.retried = true;

@@ -96,9 +96,6 @@ struct RouterOptions {
   std::uint64_t default_deadline = 0;
   /// Re-issues to the owner shard after a failed first attempt.
   std::size_t retry_limit = 1;
-  /// Budget multiplier per successive attempt (retry-with-backoff:
-  /// slower but surer).
-  std::uint64_t backoff_factor = 2;
   /// Sibling replicas tried after the owner's attempts are exhausted
   /// (hedged re-issue; a straggling owner costs its budget, then a
   /// sibling answers).
@@ -190,6 +187,10 @@ struct RouterHealth {
 
 class ShardRouter {
  public:
+  /// Budget multiplier per successive attempt of one query
+  /// (retry-with-backoff: slower but surer).
+  static constexpr std::uint64_t kBackoffFactor = 2;
+
   explicit ShardRouter(RouterOptions options = {});
   ~ShardRouter();
 

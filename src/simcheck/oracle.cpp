@@ -87,10 +87,7 @@ class BackendInstance {
         break;
       case SimBackend::kCompact: {
         engine_ = build_engine(t, cfg);
-        CompactTimestampStore::Options so;
-        so.delta = cfg.delta;
-        so.checkpoint_every = 8;
-        store_ = std::make_unique<CompactTimestampStore>(t.process_count(), so);
+        store_ = std::make_unique<CompactTimestampStore>(t.process_count());
         for (ProcessId p = 0; p < t.process_count(); ++p) {
           const EventIndex n = t.process_size(p);
           for (EventIndex i = 1; i <= n; ++i) {
@@ -182,11 +179,8 @@ const char* to_string(SimStrategy s) {
 }
 
 std::string OracleConfig::label() const {
-  std::string label = std::string(to_string(backend)) + "/" +
-                      to_string(strategy) + "/cs" +
-                      std::to_string(max_cluster_size);
-  if (backend == SimBackend::kCompact) label += delta ? "/delta" : "/absolute";
-  return label;
+  return std::string(to_string(backend)) + "/" + to_string(strategy) + "/cs" +
+         std::to_string(max_cluster_size);
 }
 
 std::vector<OracleConfig> full_matrix() {
@@ -201,14 +195,7 @@ std::vector<OracleConfig> full_matrix() {
   for (const SimBackend b : backends) {
     for (const SimStrategy s : strategies) {
       for (const std::uint32_t cs : sizes) {
-        if (b != SimBackend::kCompact) {
-          out.push_back(OracleConfig{b, s, cs});
-          continue;
-        }
-        // One compact row per record grammar: absolute, then delta.
-        for (const bool delta : {false, true}) {
-          out.push_back(OracleConfig{b, s, cs, delta});
-        }
+        out.push_back(OracleConfig{b, s, cs});
       }
     }
   }

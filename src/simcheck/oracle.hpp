@@ -54,18 +54,15 @@ struct OracleConfig {
   SimBackend backend = SimBackend::kEngine;
   SimStrategy strategy = SimStrategy::kMergeFirst;
   std::uint32_t max_cluster_size = 8;
-  /// kCompact only: the delta/cold-codec record grammar instead of
-  /// absolute (CompactTimestampStore::Options::delta).
-  bool delta = false;
 
   std::string label() const;
   friend bool operator==(const OracleConfig&, const OracleConfig&) = default;
 };
 
 /// The full verification matrix: every cluster backend × strategy × maxCS ∈
-/// {4, 16, 64} (the compact rows once per record grammar). The broker rows
-/// are restricted to the dynamic strategies (its monitor self-organizes;
-/// preset partitions are covered by the direct engine rows).
+/// {4, 16, 64}. The broker rows are restricted to the dynamic strategies
+/// (its monitor self-organizes; preset partitions are covered by the direct
+/// engine rows).
 std::vector<OracleConfig> full_matrix();
 
 /// Test-only hooks. `mutate` may flip a backend's precedence answer before

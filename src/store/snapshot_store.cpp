@@ -3,16 +3,19 @@
 #include <algorithm>
 
 #include "store/format.hpp"
-#include "util/check.hpp"
 
 namespace ct {
+namespace {
+
+/// Largest single append of an image to its temp object.
+constexpr std::size_t kAppendChunkBytes = std::size_t{1} << 20;
+
+}  // namespace
 
 ColumnarPublishResult publish_columnar(StorageBackend& storage,
                                        const MonitoringEntity& monitor,
                                        std::uint64_t generation,
                                        const ColumnarPublishOptions& options) {
-  CT_CHECK_MSG(options.append_chunk_bytes > 0,
-               "columnar append_chunk_bytes must be positive");
   ColumnarPublishResult out;
   out.generation = generation;
   out.object = columnar_object_name(generation, options.ns);
@@ -26,11 +29,9 @@ ColumnarPublishResult publish_columnar(StorageBackend& storage,
   // ---- write-temp → fsync → rename → fsync-dir ----
   storage.create(tmp);
   const std::string_view view(image);
-  for (std::size_t at = 0; at < view.size();
-       at += options.append_chunk_bytes) {
-    storage.append(tmp,
-                   view.substr(at, std::min(options.append_chunk_bytes,
-                                            view.size() - at)));
+  for (std::size_t at = 0; at < view.size(); at += kAppendChunkBytes) {
+    storage.append(tmp, view.substr(at, std::min(kAppendChunkBytes,
+                                                 view.size() - at)));
   }
   storage.sync(tmp);
   storage.rename(tmp, out.object);

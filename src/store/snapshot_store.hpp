@@ -35,7 +35,6 @@ struct ColumnarPublishOptions {
   std::string ns;                          ///< tenant namespace prefix
   std::size_t block_bytes = 64 * 1024;     ///< CRC block grid
   std::size_t retain_generations = 2;      ///< newest generations kept
-  std::size_t append_chunk_bytes = 1 << 20;
 };
 
 struct ColumnarPublishResult {

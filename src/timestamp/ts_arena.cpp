@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "util/varint.hpp"
-
 namespace ct {
 namespace {
 
@@ -27,8 +25,6 @@ TsArena::TsArena(std::size_t process_count)
 TsArena::TsArena(std::size_t process_count, Options options)
     : options_(options), rows_of_(process_count) {
   CT_CHECK(process_count > 0);
-  CT_CHECK_MSG(options_.checkpoint_every >= 1,
-               "cold checkpoint stride must be >= 1");
 }
 
 void TsArena::reserve(std::size_t total_rows, std::size_t total_components) {
@@ -98,89 +94,6 @@ void TsArena::overwrite_row(RowHandle h, const EventIndex* values,
   const Row& row = rows_[h];
   CT_CHECK_MSG(width == row.width, "row width mismatch on overwrite");
   for (std::size_t i = 0; i < width; ++i) pool_[row.offset + i] = values[i];
-}
-
-TsArena::ColdRows TsArena::encode_cold(ProcessId p) const {
-  CT_CHECK_MSG(p < rows_of_.size(), "process " << p << " out of range");
-  ColdRows cold;
-  const auto& handles = rows_of_[p];
-  cold.count = static_cast<std::uint32_t>(handles.size());
-
-  const EventIndex* prev = nullptr;
-  std::size_t prev_width = 0;
-  std::size_t since_full = 0;
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    const Row& row = rows_[handles[i]];
-    const EventIndex* values = pool_.data() + row.offset;
-
-    bool full = prev == nullptr || row.width != prev_width ||
-                since_full + 1 >= options_.checkpoint_every;
-    if (!full) {
-      // Timestamp rows are componentwise monotone along a process; a
-      // negative delta (possible only for foreign row sequences) falls back
-      // to a full record, keeping the codec total.
-      for (std::size_t j = 0; j < row.width && !full; ++j) {
-        full = values[j] < prev[j];
-      }
-    }
-
-    if (full) {
-      cold.checkpoints.emplace_back(static_cast<std::uint32_t>(i),
-                                    static_cast<std::uint32_t>(
-                                        cold.bytes.size()));
-      put_varint(cold.bytes, static_cast<std::uint64_t>(row.width) + 1);
-      for (std::size_t j = 0; j < row.width; ++j) {
-        put_varint(cold.bytes, values[j]);
-      }
-      since_full = 0;
-    } else {
-      put_varint(cold.bytes, 0);
-      for (std::size_t j = 0; j < row.width; ++j) {
-        put_varint(cold.bytes, values[j] - prev[j]);
-      }
-      ++since_full;
-    }
-    prev = values;
-    prev_width = row.width;
-  }
-  CT_CHECK_MSG(cold.bytes.size() <= std::numeric_limits<std::uint32_t>::max(),
-               "cold stream overflow");
-  return cold;
-}
-
-void TsArena::decode_cold(const ColdRows& cold, std::size_t i,
-                          std::vector<EventIndex>& out) {
-  CT_CHECK_MSG(i < cold.count, "cold row " << i << " out of range");
-  // Latest checkpoint at or before row i.
-  std::size_t lo = 0, hi = cold.checkpoints.size();
-  while (lo + 1 < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (cold.checkpoints[mid].first <= i) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  CT_CHECK_MSG(!cold.checkpoints.empty() && cold.checkpoints[lo].first <= i,
-               "cold stream has no checkpoint before row " << i);
-
-  std::size_t pos = cold.checkpoints[lo].second;
-  out.clear();
-  for (std::size_t row = cold.checkpoints[lo].first; row <= i; ++row) {
-    const std::uint64_t head = get_varint(cold.bytes, pos);
-    if (head == 0) {
-      CT_CHECK_MSG(!out.empty(), "delta record with no predecessor");
-      for (auto& v : out) {
-        v += static_cast<EventIndex>(get_varint(cold.bytes, pos));
-      }
-    } else {
-      const auto width = static_cast<std::size_t>(head - 1);
-      out.resize(width);
-      for (std::size_t j = 0; j < width; ++j) {
-        out[j] = static_cast<EventIndex>(get_varint(cold.bytes, pos));
-      }
-    }
-  }
 }
 
 }  // namespace ct

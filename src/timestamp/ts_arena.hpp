@@ -10,7 +10,7 @@
 // the "fast as the hardware allows" trajectory (ROADMAP); the compute half
 // is core/precedence_kernels.hpp, which operates directly on arena rows.
 //
-// Three independent features, selected per use site:
+// Two features:
 //  * hot pool   — append-only SoA rows + offset handles (the engine's
 //                 timestamp store, FmStore);
 //  * interning  — content dedup of identical rows: sync halves carry equal
@@ -18,11 +18,6 @@
 //                 coincide, so equal rows share pool storage (handles stay
 //                 distinct). Disabled where rows are mutated in place
 //                 (the engine's corruption/repair hooks must not alias).
-//  * cold codec — per-process delta/varint encoding with periodic full
-//                 checkpoints for archival storage: consecutive rows of one
-//                 process differ in few components and deltas are small, so
-//                 cold rows cost ~1 byte/changed component. Random access
-//                 replays at most checkpoint_every-1 delta rows.
 //
 // Thread safety: appends are single-writer; reads of previously appended
 // rows are safe concurrently with nothing (same contract as the stores that
@@ -32,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,8 +43,6 @@ class TsArena {
   struct Options {
     /// Content-dedup identical rows (equal rows share pool storage).
     bool intern = true;
-    /// Cold codec: force a full (non-delta) record every this many rows.
-    std::size_t checkpoint_every = 32;
   };
 
   explicit TsArena(std::size_t process_count);
@@ -115,38 +107,6 @@ class TsArena {
   std::size_t pool_words() const { return pool_.size(); }
   /// Appends that were satisfied by an existing identical row.
   std::size_t interned_hits() const { return interned_hits_; }
-
-  // ---- cold codec -------------------------------------------------------
-  //
-  // Encoded stream per process: one record per row, in append order.
-  //   record := varint(head) components...
-  //   head = 0      → delta row: same width as the previous row; components
-  //                   are varint(value[j] - prev[j]) (all deltas >= 0).
-  //   head = w + 1  → full row of width w: components are absolute varints.
-  // The encoder emits a full record at least every checkpoint_every rows,
-  // on any width change, and whenever a delta would be negative; timestamp
-  // rows of one process are componentwise monotone, so in practice almost
-  // every record is a delta row of zeros plus one small increment.
-
-  struct ColdRows {
-    std::string bytes;
-    /// (row index, byte offset) of every full record, ascending — the
-    /// random-access checkpoint table.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> checkpoints;
-    std::uint32_t count = 0;
-
-    /// Exact footprint: payload plus the checkpoint table.
-    std::size_t footprint_bytes() const {
-      return bytes.size() + checkpoints.size() * sizeof(checkpoints[0]);
-    }
-  };
-
-  /// Encodes all rows of process `p` into the cold format.
-  ColdRows encode_cold(ProcessId p) const;
-
-  /// Decodes row `i` (append order) of a cold stream into `out`.
-  static void decode_cold(const ColdRows& cold, std::size_t i,
-                          std::vector<EventIndex>& out);
 
  private:
   struct Row {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -232,6 +233,35 @@ void round_trip_backend(TimestampBackend backend) {
   ASSERT_EQ(restored->stored(), original.stored());
   ASSERT_EQ(restored->state_digest(), original.state_digest());
   ASSERT_EQ(restored->timestamp_words(), original.timestamp_words());
+
+  // The restored manager knows which delivered events are sends and which
+  // sends are consumed: a receive naming either kind of bad partner is
+  // quarantined exactly as the original does. The records sit past every
+  // process's last event, so they never collide with the stream below.
+  std::optional<EventId> consumed_send, non_send;
+  for (const EventId id : original.delivery_log()) {
+    const Event& e = original.event(id);
+    if (e.kind == EventKind::kReceive && !consumed_send) {
+      consumed_send = e.partner;
+    }
+    if (e.kind != EventKind::kSend && !non_send) non_send = id;
+  }
+  ASSERT_TRUE(consumed_send.has_value());
+  ASSERT_TRUE(non_send.has_value());
+  const auto beyond = static_cast<EventIndex>(t.event_count() + 1);
+  for (const auto& [index, partner] :
+       {std::pair{beyond, *consumed_send}, std::pair{beyond + 1, *non_send}}) {
+    Event bad;
+    bad.id = EventId{0, index};
+    bad.kind = EventKind::kReceive;
+    bad.partner = partner;
+    const IngestResult want = original.ingest(bad);
+    const IngestResult got = restored->ingest(bad);
+    EXPECT_EQ(want.status, IngestStatus::kQuarantined) << partner;
+    EXPECT_EQ(want.error, IngestError::kBadPartner) << partner;
+    EXPECT_EQ(got.status, want.status) << partner;
+    EXPECT_EQ(got.error, want.error) << partner;
+  }
 
   // Buffered-at-cut records are not in the snapshot: replay the stream with
   // overlap — already-delivered records drop as duplicates — then the tail.

@@ -300,6 +300,32 @@ TEST(MonitoringEntity, FindAndScroll) {
   ASSERT_EQ(scrolled.size(), 5u);
   EXPECT_EQ(scrolled.front(), 2u);
   EXPECT_TRUE(std::is_sorted(scrolled.begin(), scrolled.end()));
+
+  // Lookups outside the delivered prefix miss instead of throwing.
+  const auto n = static_cast<ProcessId>(monitor.process_count());
+  const EventIndex last = monitor.delivered_count(2);
+  ASSERT_GT(last, 0u);
+  EXPECT_TRUE(monitor.find(EventId{2, last}).has_value());
+  EXPECT_FALSE(monitor.find(EventId{2, last + 1}).has_value());
+  EXPECT_FALSE(monitor.find(EventId{2, 0}).has_value());
+  EXPECT_FALSE(monitor.find(EventId{n, 1}).has_value());
+
+  // Index 0 scrolls from the first event; scrolling past the last event or
+  // naming an unknown process visits nothing.
+  std::vector<EventIndex> all;
+  monitor.scroll(2, 0, [&](const Event& e) {
+    all.push_back(e.id.index);
+    return true;
+  });
+  ASSERT_EQ(all.size(), last);
+  EXPECT_EQ(all.front(), 1u);
+  EXPECT_EQ(all.back(), last);
+  std::size_t visited = 0;
+  const auto count = [&](const Event&) { return ++visited, true; };
+  monitor.scroll(2, last + 1, count);
+  monitor.scroll(n, 0, count);
+  monitor.scroll(n, 1, count);
+  EXPECT_EQ(visited, 0u);
 }
 
 TEST(MonitoringEntity, PrecedesOnUndeliveredEventThrows) {

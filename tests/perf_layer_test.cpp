@@ -2,8 +2,8 @@
 //
 // The layer's contract is "faster, never different": every acceleration —
 // the arena store, store-time probe resolution, the precedence cursor,
-// the heap-accelerated greedy clustering, the AVX2 join, the
-// delta codecs — must be observationally identical to the code it replaces.
+// the heap-accelerated greedy clustering, the AVX2 join — must be
+// observationally identical to the code it replaces.
 // These tests pin that down: fast implementations and slow references are
 // run side by side on the same inputs and compared answer-for-answer (and,
 // where cost metering is part of the observable surface, tick-for-tick).
@@ -603,69 +603,6 @@ TEST(TsArena, InterningDedupsIdenticalRows) {
   EXPECT_EQ(arena.pool_words(), 6u);  // 2 unique rows, not 3
   EXPECT_EQ(arena.values(h1).size(), 3u);
   EXPECT_EQ(arena.component(h1, 2), 3u);
-}
-
-TEST(TsArena, ColdCodecRoundTripsWithCheckpointsAndEdgeValues) {
-  // Rows of one process: componentwise monotone runs (the delta fast path),
-  // a width change (forces a full record), a non-monotone step (forces a
-  // full record), and edge values up to 2^32-1.
-  TsArena arena(1, {.intern = false, .checkpoint_every = 4});
-  std::vector<std::vector<EventIndex>> rows;
-  std::vector<EventIndex> cur = {0, 0, 0};
-  for (int i = 0; i < 11; ++i) {
-    cur[static_cast<std::size_t>(i) % 3] += static_cast<EventIndex>(i);
-    rows.push_back(cur);
-  }
-  rows.push_back({7, 8});                        // width change
-  rows.push_back({9, 10});                       // delta again
-  rows.push_back({3, 10});                       // negative step → full
-  rows.push_back({3, std::numeric_limits<EventIndex>::max()});
-  rows.push_back({3, std::numeric_limits<EventIndex>::max()});  // zero delta
-  for (const auto& r : rows) arena.append(ProcessId{0}, r);
-
-  const TsArena::ColdRows cold = arena.encode_cold(ProcessId{0});
-  EXPECT_EQ(cold.count, rows.size());
-  EXPECT_GE(cold.checkpoints.size(), rows.size() / 4);  // every 4th at least
-
-  // Decode in a scattered order — random access must not depend on decode
-  // history.
-  std::vector<std::size_t> order(rows.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::shuffle(order.begin(), order.end(), std::mt19937(755));
-  std::vector<EventIndex> out;
-  for (const std::size_t i : order) {
-    TsArena::decode_cold(cold, i, out);
-    ASSERT_EQ(out, rows[i]) << "row " << i;
-  }
-}
-
-TEST(CompactStore, DeltaModeDecodesIdenticalToAbsolute) {
-  const Trace trace = generate_web_server({.clients = 10,
-                                           .servers = 3,
-                                           .backends = 2,
-                                           .requests = 80,
-                                           .seed = 756});
-  ClusterTimestampEngine engine(trace.process_count(), engine_config(5),
-                                make_merge_on_nth(1.0));
-  engine.observe_trace(trace);
-
-  CompactTimestampStore absolute(trace.process_count());
-  CompactTimestampStore delta(trace.process_count(),
-                              {.delta = true, .checkpoint_every = 8});
-  for (const EventId id : trace.delivery_order()) {
-    absolute.append(id, engine.timestamp(id));
-    delta.append(id, engine.timestamp(id));
-  }
-  for (const EventId id : trace.delivery_order()) {
-    const ClusterTimestamp a = absolute.decode(id);
-    const ClusterTimestamp d = delta.decode(id);
-    ASSERT_EQ(a.values, d.values) << id;
-    ASSERT_EQ(a.is_full(), d.is_full()) << id;
-    if (!a.is_full()) {
-      ASSERT_EQ(*a.covered, *d.covered) << id;
-    }
-    ASSERT_EQ(a.values, engine.timestamp(id).values) << id;
-  }
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ TEST(ShardRouter, StalledOwnerBurnsBudgetThenSiblingAnswers) {
   ASSERT_TRUE(r.answer.has_value());
   EXPECT_EQ(r.outcome, RouterOutcome::kDegraded);
   EXPECT_TRUE(r.hedged);
-  EXPECT_GE(r.cost, budget * (1 + router.options().backoff_factor));
+  EXPECT_GE(r.cost, budget * (1 + ShardRouter::kBackoffFactor));
   router.close_epoch();
   EXPECT_GT(router.health().faults.stalled_attempts, 0u);
 }

@@ -26,8 +26,7 @@ std::vector<OracleConfig> small_window() {
   return {
       OracleConfig{SimBackend::kEngine, SimStrategy::kMergeFirst, 8},
       OracleConfig{SimBackend::kEngine, SimStrategy::kStaticGreedy, 4},
-      OracleConfig{SimBackend::kCompact, SimStrategy::kMergeNth, 16,
-                   /*delta=*/true},
+      OracleConfig{SimBackend::kCompact, SimStrategy::kMergeNth, 16},
       OracleConfig{SimBackend::kRecursive, SimStrategy::kFixedContiguous, 4},
       OracleConfig{SimBackend::kBatchHybrid, SimStrategy::kMergeNth, 8},
       OracleConfig{SimBackend::kBroker, SimStrategy::kMergeFirst, 8},
@@ -101,8 +100,8 @@ TEST(DifferentialOracle, CleanSeedsRunWithoutDivergence) {
 
 TEST(DifferentialOracle, FullMatrixShape) {
   const auto matrix = full_matrix();
-  // 3 backends×4×3 + compact×4×3×2 grammars + broker×2×3
-  EXPECT_EQ(matrix.size(), 66u);
+  // 4 backends×4 strategies×3 sizes + broker×2×3
+  EXPECT_EQ(matrix.size(), 54u);
   std::set<std::string> labels;
   for (const OracleConfig& cfg : matrix) labels.insert(cfg.label());
   EXPECT_EQ(labels.size(), matrix.size());  // labels are unique

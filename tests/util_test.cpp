@@ -16,7 +16,6 @@
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/crc32c.hpp"
-#include "util/csv.hpp"
 #include "util/epoch.hpp"
 #include "util/flat_matrix.hpp"
 #include "util/lru_cache.hpp"
@@ -467,22 +466,6 @@ TEST(Epoch, GlobalDomainServesManyThreads) {
     for (auto& th : threads) th.join();
   }
   util::EpochDomain::global().synchronize();  // no pinned readers remain
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  std::ostringstream os;
-  CsvWriter w(os, {"a", "b"});
-  w.row({"plain", "has,comma"});
-  w.row({"has\"quote", "has\nnewline"});
-  EXPECT_EQ(os.str(),
-            "a,b\nplain,\"has,comma\"\n\"has\"\"quote\",\"has\nnewline\"\n");
-  EXPECT_EQ(w.rows_written(), 2u);
-}
-
-TEST(Csv, RejectsRaggedRows) {
-  std::ostringstream os;
-  CsvWriter w(os, {"a", "b"});
-  EXPECT_THROW(w.row({"only-one"}), CheckFailure);
 }
 
 TEST(Cli, ParsesFlagsAndPositionals) {
