@@ -6,8 +6,9 @@
 // columnar generation. Three cold-start paths are measured, each in a
 // freshly exec'd child process so VmHWM is that path's own peak RSS:
 //
-//   replay  recover_monitor over a view of the storage with every snapshot
-//           (CTC1 and CTS1) hidden — the pure WAL-replay baseline;
+//   replay  the recovery ladder over a view of the storage with every
+//           image (generations and checkpoints) hidden, so it lands on
+//           the WAL-replay rung — the pure WAL-replay baseline;
 //   mapped  ColdBytes(mmap) + MappedSnapshot + checksum/structural
 //           verification — zero replay, queries served off the mapping;
 //   parent  the live in-memory monitor, the ns/query floor.
@@ -30,11 +31,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "durability/recovery.hpp"
+#include "durability/format.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "monitor/monitor.hpp"
-#include "store/format.hpp"
 #include "store/mapped_view.hpp"
 #include "store/recovery_ladder.hpp"
 #include "store/snapshot_store.hpp"
@@ -133,9 +133,9 @@ std::pair<std::uint64_t, double> run_queries(std::uint64_t event_count,
   return {crc, ns / static_cast<double>(queries)};
 }
 
-/// Read-only view of `inner` with every snapshot object (CTC1 columnar and
-/// CTS1 checkpoint) hidden: recovery over it is forced onto the pure
-/// WAL-replay rung.
+/// Read-only view of `inner` with every image (published generations and
+/// checkpoints) hidden: recovery over it is forced onto the pure WAL-replay
+/// rung.
 class SnapshotBlindStorage final : public StorageBackend {
  public:
   explicit SnapshotBlindStorage(const StorageBackend& inner)
@@ -198,9 +198,12 @@ int phase_replay(const std::string& root, std::uint32_t processes,
   FileStorage files(root);
   SnapshotBlindStorage blind(files);
   const auto start = std::chrono::steady_clock::now();
-  const RecoveredMonitor rec =
-      recover_monitor(blind, processes, monitor_options(processes));
+  const LadderRecovery rec =
+      recover_with_ladder(blind, processes, monitor_options(processes));
   const double coldstart_ms = ms_since(start);
+  CT_CHECK_MSG(rec.rung == RecoveryRung::kWalReplay,
+               "replay baseline landed on the " << to_string(rec.rung)
+                                                << " rung");
   const auto log = rec.monitor->delivery_log();
   const auto [crc, ns] = run_queries(
       log.size(), queries, [&](std::uint64_t i, std::uint64_t j) {

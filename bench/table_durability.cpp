@@ -5,10 +5,10 @@
 // One locality-structured computation is ingested through a monitor whose
 // delivery tap feeds a write-ahead log on FileStorage (real files, real
 // fsync). Per sync policy: ingest wall time and throughput, syncs issued,
-// WAL bytes, then a cold recovery (snapshot + tail replay) timed and
-// digest-checked against the live monitor. Two extra rows add periodic
-// checkpoints to show snapshot+prune bounding both the WAL size and the
-// replayed tail.
+// WAL bytes, then a cold recovery through the recovery ladder (checkpoint
+// image + tail replay) timed and digest-checked against the live monitor.
+// Two extra rows add periodic checkpoints to show checkpoint+prune bounding
+// both the WAL size and the replayed tail.
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "monitor/monitor.hpp"
+#include "store/recovery_ladder.hpp"
 #include "trace/generators.hpp"
 
 namespace {
@@ -82,9 +82,9 @@ Row run_one(const Trace& t, Row row, const std::string& root) {
   }
 
   const auto rstart = std::chrono::steady_clock::now();
-  const RecoveredMonitor rec =
-      recover_monitor(storage, t.process_count(),
-                      monitor_options(t.process_count()));
+  const LadderRecovery rec =
+      recover_with_ladder(storage, t.process_count(),
+                          monitor_options(t.process_count()));
   row.recovery_ms = ms_since(rstart);
   row.replayed = rec.report.replayed;
   row.recovered = rec.report.recovered_seq;

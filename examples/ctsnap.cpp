@@ -1,4 +1,6 @@
-// ctsnap: inspect and verify CTC1 columnar snapshot files (src/store/).
+// ctsnap: inspect and verify CTC1 snapshot images — published generations
+// (`ctc-<gen>.col`, src/store/) and checkpoints (`snap-<seq>.cts`,
+// DurableLog::checkpoint).
 //
 // Subcommands:
 //   info   FILE          dump the footer manifest (generation, WAL position,
@@ -6,12 +8,12 @@
 //   verify FILE          recompute every block CRC32C and per-column FNV
 //                        digest, then run the structural verifier; exit 1 on
 //                        the first mismatch, with its byte offset
-//   ls     DIR [--ns P]  list published generations and leftover tmps of a
-//                        FileStorage directory
+//   ls     DIR [--ns P]  list published generations, checkpoints and
+//                        leftover tmps of a FileStorage directory
 //
 // Examples:
 //   ./build/examples/ctsnap info  /var/ct/ctc-12.col
-//   ./build/examples/ctsnap verify /var/ct/ctc-12.col
+//   ./build/examples/ctsnap verify /var/ct/snap-000000004096.cts
 //   ./build/examples/ctsnap ls /var/ct --ns tenant-3.
 #include <cinttypes>
 #include <cstdio>
@@ -20,8 +22,8 @@
 #include <sstream>
 #include <string>
 
+#include "durability/format.hpp"
 #include "durability/storage.hpp"
-#include "store/format.hpp"
 #include "store/mapped_view.hpp"
 #include "store/snapshot_store.hpp"
 #include "util/check.hpp"
@@ -36,7 +38,8 @@ int usage() {
       "usage: ctsnap <info|verify|ls> ...\n"
       "  info   FILE      dump the CTC1 footer manifest\n"
       "  verify FILE      recheck block CRCs, digests, and structure\n"
-      "  ls     DIR [--ns PREFIX]  list generations in a storage directory");
+      "  ls     DIR [--ns PREFIX]  list generations and checkpoints in a "
+      "storage directory");
   return 2;
 }
 
@@ -110,8 +113,20 @@ int cmd_verify(const std::string& path) {
               " processes%s\n",
               m.event_count, m.process_count,
               m.has_arena ? ", arena consistent" : "");
-  std::printf("generation %" PRIu64 " verified\n", m.generation);
+  std::printf("image verified\n");
   return 0;
+}
+
+/// "N events, wal@P", or why the image does not parse.
+std::string describe(const std::string& bytes) {
+  try {
+    const ColumnarManifest m = parse_columnar_manifest(bytes);
+    std::ostringstream os;
+    os << m.event_count << " events, wal@" << m.wal_position;
+    return os.str();
+  } catch (const CheckFailure& e) {
+    return std::string("INVALID: ") + e.what();
+  }
 }
 
 int cmd_ls(const std::string& dir, const std::string& ns) {
@@ -120,17 +135,13 @@ int cmd_ls(const std::string& dir, const std::string& ns) {
   FileStorage storage(dir);
   for (const auto& [gen, name] : list_columnar(storage, ns)) {
     const std::string bytes = storage.read(name);
-    std::string note;
-    try {
-      const ColumnarManifest m = parse_columnar_manifest(bytes);
-      std::ostringstream os;
-      os << m.event_count << " events, wal@" << m.wal_position;
-      note = os.str();
-    } catch (const CheckFailure& e) {
-      note = std::string("INVALID: ") + e.what();
-    }
     std::printf("gen %-6" PRIu64 " %-24s %10zu bytes  %s\n", gen,
-                name.c_str(), bytes.size(), note.c_str());
+                name.c_str(), bytes.size(), describe(bytes).c_str());
+  }
+  for (const auto& [seq, name] : list_checkpoints(storage, ns)) {
+    const std::string bytes = storage.read(name);
+    std::printf("ckpt       %-24s %10zu bytes  %s\n", name.c_str(),
+                bytes.size(), describe(bytes).c_str());
   }
   for (const std::string& tmp : list_columnar_tmps(storage, ns)) {
     std::printf("tmp        %-24s %10zu bytes  half-published, quarantined\n",

@@ -11,18 +11,19 @@
 //
 // Two robustness epilogues follow: the same stream pushed through the
 // seeded fault injector (showing the MonitorHealth accounting), and a
-// mid-stream checkpoint/restore round trip (showing that a restarted
-// monitor answers identical queries).
+// mid-stream checkpoint and restart through the recovery ladder (showing
+// that a restarted monitor answers identical queries).
 //
 // Run:  ./build/examples/monitor_session [--clients N] [--requests N]
 #include <cstdio>
-#include <sstream>
 #include <vector>
 
+#include "durability/storage.hpp"
+#include "durability/wal.hpp"
 #include "monitor/fault_injector.hpp"
 #include "monitor/monitor.hpp"
+#include "store/recovery_ladder.hpp"
 #include "trace/generators.hpp"
-#include "trace/snapshot.hpp"
 #include "util/cli.hpp"
 #include "util/prng.hpp"
 
@@ -177,6 +178,11 @@ int main(int argc, char** argv) {
   // ---- robustness epilogue 2: checkpoint mid-stream, restart, catch up.
   {
     MonitoringEntity monitor(trace.process_count(), cluster_opts);
+    SimulatedStorage storage;
+    WalOptions wo;
+    wo.policy = SyncPolicy::kOnCheckpoint;
+    DurableLog log(storage, wo);
+    monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
     std::vector<Event> arrival;
     std::vector<std::size_t> cursor(trace.process_count(), 0);
     Prng rng(7);
@@ -192,17 +198,21 @@ int main(int argc, char** argv) {
     const std::size_t cut = arrival.size() / 2;
     for (std::size_t i = 0; i < cut; ++i) monitor.ingest(arrival[i]);
 
-    std::stringstream checkpoint;
-    save_snapshot(checkpoint, monitor);
+    log.checkpoint(monitor);
+    monitor.set_delivery_tap(nullptr);
+    LadderRecovery rec =
+        recover_with_ladder(storage, trace.process_count(), cluster_opts);
+    const std::string& image = rec.report.snapshot_object;
     std::printf("\n[checkpoint/restore at event %zu of %zu]\n", cut,
                 arrival.size());
-    std::printf("  snapshot: %zu bytes (CTS1), %zu delivered events\n",
-                checkpoint.str().size(), monitor.stored());
-
-    const auto restored = load_snapshot(checkpoint);
+    std::printf("  checkpoint %s: %zu bytes (CTC1, events only), %zu "
+                "delivered events\n",
+                image.c_str(), storage.read(image).size(), monitor.stored());
+    std::printf("  restarted on the %s rung\n", to_string(rec.rung));
+    const auto restored = std::move(rec.monitor);
     // The restarted monitor replays the stream from far enough back to
     // cover everything that was still buffered at the checkpoint (here:
-    // from the start). The overlap is harmless — anything the snapshot
+    // from the start). The overlap is harmless — anything the checkpoint
     // already delivered drops as a duplicate.
     for (std::size_t i = 0; i < arrival.size(); ++i) {
       restored->ingest(arrival[i]);

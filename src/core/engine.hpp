@@ -246,7 +246,7 @@ class ClusterTimestampEngine {
   /// Digest of the engine's observable state: cluster membership, cluster-
   /// receive positions, and the storage accounting. Two engines that
   /// observed the same delivery order have equal digests; snapshot restore
-  /// (trace/snapshot.hpp) uses this to detect a divergent replay.
+  /// (store/recovery_ladder.hpp) uses this to detect a divergent replay.
   std::uint64_t state_digest() const;
 
   /// Component-comparison count across precedes() calls (query-cost probe).

@@ -1,37 +1,27 @@
-#include "store/format.hpp"
+#include "durability/format.hpp"
 
 #include <bit>
 #include <cstring>
 
 #include "core/engine.hpp"
+#include "durability/wal.hpp"
 #include "util/crc32c.hpp"
 #include "util/varint.hpp"
 
 namespace ct {
 namespace {
 
-// The column segments are raw little-endian u32 arrays written/read with
+// The arena segments are raw little-endian u32 arrays written/read with
 // memcpy; the mapped read path aliases them in place. Both are gated on a
 // little-endian host — the one portability concession the zero-copy design
-// makes (the CTS1 varint format stays portable).
+// makes (the varint event records stay portable).
 static_assert(std::endian::native == std::endian::little,
               "CTC1 columnar images require a little-endian host");
 static_assert(sizeof(EventIndex) == 4 && sizeof(ProcessId) == 4,
               "CTC1 u32 columns assume 32-bit ids");
 
-void put_u64_le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
-  }
-}
-
-void put_u32_le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
-  }
-}
-
-void put_u32(std::string& out, std::uint32_t v) { put_u32_le(out, v); }
+using wal::put_u32_le;
+using wal::put_u64_le;
 
 void put_u32s(std::string& out, const std::uint32_t* v, std::size_t n) {
   if (n == 0) return;  // an empty column may hand over a null `v`
@@ -45,12 +35,8 @@ std::uint64_t take_u64_le(std::string_view data, std::size_t& pos,
   CT_CHECK_MSG(pos + 8 <= data.size(), "columnar footer truncated in "
                                            << what << " at byte offset "
                                            << pos);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[pos++]))
-         << (i * 8);
-  }
-  return v;
+  pos += 8;
+  return wal::get_u64_le(data, pos - 8);
 }
 
 std::uint32_t take_u32_le(std::string_view data, std::size_t& pos,
@@ -58,12 +44,8 @@ std::uint32_t take_u32_le(std::string_view data, std::size_t& pos,
   CT_CHECK_MSG(pos + 4 <= data.size(), "columnar footer truncated in "
                                            << what << " at byte offset "
                                            << pos);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[pos++]))
-         << (i * 8);
-  }
-  return v;
+  pos += 4;
+  return wal::get_u32_le(data, pos - 4);
 }
 
 std::uint64_t take_varint(std::string_view data, std::size_t& pos,
@@ -111,44 +93,45 @@ struct ColumnCollector final : ClusterTimestampEngine::ArenaExportSink {
   void covered_set(std::uint32_t id, std::span<const ProcessId> procs) override {
     CT_CHECK_MSG(id == covered_sets, "covered sets exported out of order");
     ++covered_sets;
-    put_u32(cs_sizes, static_cast<std::uint32_t>(procs.size()));
+    put_u32_le(cs_sizes, static_cast<std::uint32_t>(procs.size()));
     cs_proc_total += procs.size();
     put_u32s(cs_procs, procs.data(), procs.size());
   }
 
   void row(ProcessId, std::uint32_t offset, std::uint32_t aux,
            std::uint32_t probe_off, std::uint32_t width) override {
-    put_u32(row_offset, offset);
-    put_u32(row_aux, aux);
-    put_u32(row_probe, probe_off);
-    put_u32(row_width, width);
+    put_u32_le(row_offset, offset);
+    put_u32_le(row_aux, aux);
+    put_u32_le(row_probe, probe_off);
+    put_u32_le(row_width, width);
     ++rows_in_process;
     ++row_total;
   }
 
   void probes(ProcessId, const std::uint32_t* offsets,
               std::size_t count) override {
-    put_u32(row_counts, rows_in_process);
+    put_u32_le(row_counts, rows_in_process);
     rows_in_process = 0;
-    put_u32(probe_counts, static_cast<std::uint32_t>(count));
+    put_u32_le(probe_counts, static_cast<std::uint32_t>(count));
     probe_total += count;
     put_u32s(probe_data, offsets, count);
   }
 };
 
 std::uint32_t element_size_of(ColumnId id) {
-  return id == ColumnId::kEvKind ? 1u : 4u;
+  switch (id) {
+    case ColumnId::kEvRecords: return 1;
+    case ColumnId::kEvRunOffsets: return 8;
+    default: return 4;
+  }
 }
 
 }  // namespace
 
 const char* to_string(ColumnId id) {
   switch (id) {
-    case ColumnId::kEvProcess: return "ev_process";
-    case ColumnId::kEvIndex: return "ev_index";
-    case ColumnId::kEvKind: return "ev_kind";
-    case ColumnId::kEvPartnerProcess: return "ev_partner_process";
-    case ColumnId::kEvPartnerIndex: return "ev_partner_index";
+    case ColumnId::kEvRecords: return "ev_records";
+    case ColumnId::kEvRunOffsets: return "ev_run_offsets";
     case ColumnId::kPool: return "pool";
     case ColumnId::kRowOffset: return "row_offset";
     case ColumnId::kRowAux: return "row_aux";
@@ -181,25 +164,23 @@ std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) {
 
 std::string encode_columnar(const MonitoringEntity& monitor,
                             std::uint64_t generation,
-                            std::size_t block_bytes) {
+                            std::size_t block_bytes, bool with_arena) {
   CT_CHECK_MSG(block_bytes > 0, "columnar block_bytes must be positive");
 
   // ---- event columns: the delivery log, in delivery order ----
-  std::string ev_process, ev_index, ev_kind, ev_pp, ev_pi;
+  std::string ev_records, ev_run_offsets;
   const auto log = monitor.delivery_log();
-  for (const EventId id : log) {
-    const auto e = monitor.find(id);
-    CT_CHECK_MSG(e.has_value(), "delivery log names unstored event " << id);
-    put_u32(ev_process, e->id.process);
-    put_u32(ev_index, e->id.index);
-    ev_kind.push_back(static_cast<char>(e->kind));
-    put_u32(ev_pp, e->partner.process);
-    put_u32(ev_pi, e->partner.index);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (i % kEventRunRecords == 0) {
+      put_u64_le(ev_run_offsets, ev_records.size());
+    }
+    wal::encode_record(ev_records, monitor.event(log[i]));
   }
+  const std::uint64_t runs = ev_run_offsets.size() / 8;
 
-  // ---- arena columns (when the backend exports one) ----
+  // ---- arena columns (when asked for and the backend exports one) ----
   ColumnCollector arena;
-  const bool has_arena = monitor.can_export_arena();
+  const bool has_arena = with_arena && monitor.can_export_arena();
   if (has_arena) {
     monitor.export_arena(arena);
     CT_CHECK_MSG(arena.rows_in_process == 0,
@@ -216,11 +197,8 @@ std::string encode_columnar(const MonitoringEntity& monitor,
     const std::string* data;
   };
   std::vector<Segment> segments = {
-      {ColumnId::kEvProcess, log.size(), &ev_process},
-      {ColumnId::kEvIndex, log.size(), &ev_index},
-      {ColumnId::kEvKind, log.size(), &ev_kind},
-      {ColumnId::kEvPartnerProcess, log.size(), &ev_pp},
-      {ColumnId::kEvPartnerIndex, log.size(), &ev_pi},
+      {ColumnId::kEvRecords, ev_records.size(), &ev_records},
+      {ColumnId::kEvRunOffsets, runs, &ev_run_offsets},
   };
   if (has_arena) {
     const std::uint64_t procs = monitor.process_count();
@@ -238,20 +216,16 @@ std::string encode_columnar(const MonitoringEntity& monitor,
          {ColumnId::kCsProcs, arena.cs_proc_total, &arena.cs_procs}});
   }
 
-  // ---- assemble: header, aligned segments, footer, trailer ----
-  std::string out;
-  out.append(kColumnarMagic, 4);
-  out.append(4, '\0');
-
+  // ---- lay out: header, aligned segments, footer, trailer ----
   std::vector<ColumnInfo> columns;
   columns.reserve(segments.size());
+  std::size_t cursor = kColumnarHeaderBytes;
   for (const Segment& seg : segments) {
-    pad8(out);
     ColumnInfo info;
     info.id = seg.id;
     info.element_size = element_size_of(seg.id);
     info.element_count = seg.count;
-    info.offset = out.size();
+    info.offset = align8(cursor);
     info.bytes = seg.data->size();
     CT_CHECK_MSG(info.bytes == info.element_size * seg.count,
                  "column " << to_string(seg.id) << " size mismatch");
@@ -261,11 +235,10 @@ std::string encode_columnar(const MonitoringEntity& monitor,
       info.block_crcs.push_back(
           crc32c(std::string_view(*seg.data).substr(at, len)));
     }
-    out += *seg.data;
+    cursor = align8(cursor) + seg.data->size();
     columns.push_back(std::move(info));
   }
-  pad8(out);
-  const std::uint64_t footer_offset = out.size();
+  const std::uint64_t footer_offset = align8(cursor);
 
   std::string footer;
   footer.push_back(static_cast<char>(kColumnarVersion));
@@ -278,9 +251,9 @@ std::string encode_columnar(const MonitoringEntity& monitor,
   put_varint(footer, arena.covered_sets);
   put_varint(footer, block_bytes);
 
-  // Options block, CTS1 v3 layout (trace/snapshot.cpp): the restored
-  // monitor must be constructed with the same configuration — including the
-  // committed re-clustering baseline — before any event is replayed.
+  // Options block: the restored monitor must be constructed with the same
+  // configuration — including the committed re-clustering baseline —
+  // before any event is replayed.
   const MonitorOptions& options = monitor.options();
   footer.push_back(static_cast<char>(options.backend));
   put_u64_le(footer, std::bit_cast<std::uint64_t>(options.nth_threshold));
@@ -296,7 +269,9 @@ std::string encode_columnar(const MonitoringEntity& monitor,
     for (const ProcessId p : members) put_varint(footer, p);
   }
 
-  // Restored-state health adjustment, exactly as CTS1 saves it.
+  // Restored-state accounting (docs/FAULT_MODEL.md §5): records still
+  // buffered or quarantined are not in the image, so their ingestion is
+  // uncounted after restore — the invariant holds on the saved counters.
   MonitorHealth health = monitor.health();
   health.ingested -= health.pending + health.quarantined;
   health.pending = 0;
@@ -323,6 +298,18 @@ std::string encode_columnar(const MonitoringEntity& monitor,
     for (const std::uint32_t crc : c.block_crcs) put_u32_le(footer, crc);
   }
 
+  // ---- assemble in one allocation of the final size ----
+  // (appending alone would double past it, copying the image on the way)
+  std::string out;
+  out.reserve(static_cast<std::size_t>(footer_offset) + footer.size() +
+              kColumnarTrailerBytes);
+  out.append(kColumnarMagic, 4);
+  out.append(4, '\0');
+  for (const Segment& seg : segments) {
+    pad8(out);
+    out += *seg.data;
+  }
+  pad8(out);
   out += footer;
   put_u64_le(out, footer_offset);
   put_u32_le(out, crc32c(footer));
@@ -331,6 +318,9 @@ std::string encode_columnar(const MonitoringEntity& monitor,
 }
 
 ColumnarManifest parse_columnar_manifest(std::string_view bytes) {
+  CT_CHECK_MSG(bytes.compare(0, 4, "CTS1") != 0,
+               "CTS1 snapshot: a removed format, no longer read (checkpoints "
+               "are CTC1 images)");
   CT_CHECK_MSG(bytes.size() >= kColumnarHeaderBytes + kColumnarTrailerBytes &&
                    bytes.compare(0, 4, kColumnarMagic) == 0,
                "not a CTC1 columnar snapshot");
@@ -367,7 +357,10 @@ ColumnarManifest parse_columnar_manifest(std::string_view bytes) {
   const std::string_view body =
       bytes.substr(0, bytes.size() - kColumnarTrailerBytes);
   m.version = take_u8(body, pos, "version");
-  CT_CHECK_MSG(m.version >= 1 && m.version <= kColumnarVersion,
+  CT_CHECK_MSG(m.version != 1,
+               "CTC1 version 1 image: no longer read (version 2 stores "
+               "events as WAL records)");
+  CT_CHECK_MSG(m.version == kColumnarVersion,
                "unsupported columnar version " << int{m.version});
   const std::uint8_t arena_flag = take_u8(body, pos, "arena flag");
   CT_CHECK_MSG(arena_flag <= 1, "columnar arena flag " << int{arena_flag}
@@ -512,11 +505,8 @@ ColumnarManifest parse_columnar_manifest(std::string_view bytes) {
                            << (c ? c->element_count : 0) << " elements, "
                            << "expected " << count);
   };
-  expect_count(ColumnId::kEvProcess, m.event_count);
-  expect_count(ColumnId::kEvIndex, m.event_count);
-  expect_count(ColumnId::kEvKind, m.event_count);
-  expect_count(ColumnId::kEvPartnerProcess, m.event_count);
-  expect_count(ColumnId::kEvPartnerIndex, m.event_count);
+  expect_count(ColumnId::kEvRunOffsets,
+               (m.event_count + kEventRunRecords - 1) / kEventRunRecords);
   if (m.has_arena) {
     expect_count(ColumnId::kPool, m.pool_words);
     expect_count(ColumnId::kRowOffset, m.event_count);

@@ -1,14 +1,19 @@
-// CTC1 — the on-disk columnar snapshot format of the out-of-core store.
+// CTC1 — the one on-disk snapshot format: checkpoints and published
+// generations alike.
 //
 // A CTC1 object persists everything a restarted monitor OR a read-only
-// mapped server needs, as fixed-width little-endian column segments (the
-// dejavuii loader idiom: fixed-width records + id-interned tables, never
-// ad-hoc per-record serialization):
+// mapped server needs, as 8-byte aligned column segments:
 //
 //   "CTC1" | pad to 8
 //   column segments, each 8-byte aligned:
-//     ev_process / ev_index / ev_kind / ev_partner_* — the delivery log in
-//       delivery order (the replay source of the recovery ladder);
+//     ev_records — the delivery log in delivery order, one entry per event
+//       in the WAL record grammar (wal::encode_record: varint process,
+//       varint index, u8 kind, varint partner process, varint partner
+//       index) — the replay source of the recovery ladder;
+//     ev_run_offsets — u64le byte offset of every kEventRunRecords-th
+//       record, so event(i) decodes at most one run;
+//   and, in arena images only (published generations), fixed-width u32
+//   columns mirroring the engine's arena:
 //     pool — the TsArena component pool, verbatim;
 //     row_offset / row_aux / row_probe / row_width — per-event RowRef
 //       descriptors, process-major in event-index order;
@@ -17,10 +22,16 @@
 //     probes — the store-time-resolved probe rows, flattened per process;
 //     cs_sizes / cs_procs — the interned covered sets.
 //   footer manifest (varint body):
-//     generation, covered WAL position, monitor options + health + state
-//     digest (the CTS1 restore contract), and a column table carrying per-
-//     column FNV-1a digests and block-level CRC32C checksums.
+//     version, arena flag, generation, covered WAL position, monitor
+//     options + health + state digest (the restore contract), and a column
+//     table carrying per-column FNV-1a digests and block-level CRC32C
+//     checksums.
 //   16-byte trailer: u64le footer_offset | u32le crc32c(footer) | "CT1E"
+//
+// DurableLog::checkpoint writes events-only images under `snap-<seq>.cts`
+// names; publish_columnar (store/snapshot_store.hpp) writes arena images
+// under `ctc-<gen>.col` names. Both recover through one verify-and-restore
+// path (store/recovery_ladder.hpp).
 //
 // The trailer lets a reader locate the footer from the end of the file; the
 // footer CRC is verified before a single manifest byte is trusted. Block
@@ -29,6 +40,10 @@
 // opinion. The arena columns mirror exactly what
 // ClusterTimestampEngine::precedes reads, so a mapped snapshot answers
 // precedence with zero replay — cold start is O(map), not O(WAL).
+//
+// A version-1 image (fixed-width event columns) and an object in the
+// removed CTS1 format are both refused by name; no reader for either is
+// kept.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +60,16 @@ namespace ct {
 
 inline constexpr char kColumnarMagic[] = "CTC1";
 inline constexpr char kColumnarEndMagic[] = "CT1E";
-inline constexpr std::uint8_t kColumnarVersion = 1;
+inline constexpr std::uint8_t kColumnarVersion = 2;
 inline constexpr std::size_t kColumnarHeaderBytes = 8;   // magic + pad
 inline constexpr std::size_t kColumnarTrailerBytes = 16;
+/// Default CRC block grid.
+inline constexpr std::size_t kColumnarBlockBytes = 64 * 1024;
+/// Records per ev_run_offsets entry.
+inline constexpr std::uint64_t kEventRunRecords = 256;
+/// Newest images of each family — checkpoints and published generations —
+/// that survive pruning.
+inline constexpr std::size_t kRetainedImages = 2;
 
 /// Sentinels shared with ClusterTimestampEngine::kExport{FullRow,NoProbe}.
 inline constexpr std::uint32_t kColumnarFullRow = 0xffff'ffffu;
@@ -62,11 +84,8 @@ class ChecksumError : public CheckFailure {
 };
 
 enum class ColumnId : std::uint8_t {
-  kEvProcess = 0,
-  kEvIndex,
-  kEvKind,
-  kEvPartnerProcess,
-  kEvPartnerIndex,
+  kEvRecords = 0,
+  kEvRunOffsets,
   kPool,
   kRowOffset,
   kRowAux,
@@ -78,8 +97,8 @@ enum class ColumnId : std::uint8_t {
   kCsSizes,
   kCsProcs,
 };
-inline constexpr std::size_t kEventColumnCount = 5;
-inline constexpr std::size_t kColumnarColumnCount = 15;
+inline constexpr std::size_t kEventColumnCount = 2;
+inline constexpr std::size_t kColumnarColumnCount = 12;
 
 const char* to_string(ColumnId id);
 
@@ -95,9 +114,9 @@ struct ColumnInfo {
 
 struct ColumnarManifest {
   std::uint8_t version = kColumnarVersion;
-  /// False for monitors whose backend cannot export an arena (precomputed
-  /// FM): the file carries only the event columns and
-  /// serves the replay rungs, not the mapped read path.
+  /// False for checkpoint images and for monitors whose backend cannot
+  /// export an arena (precomputed FM): the file carries only the event
+  /// columns and serves the replay path, not the mapped read path.
   bool has_arena = false;
   std::uint64_t generation = 0;
   std::uint64_t wal_position = 0;  ///< delivered records the file covers
@@ -107,8 +126,9 @@ struct ColumnarManifest {
   std::uint64_t covered_set_count = 0;
   std::uint64_t block_bytes = 0;
   MonitorOptions options;
-  /// Saved with the CTS1 restored-state adjustment already applied
-  /// (pending/quarantined dropped from ingested, then zeroed).
+  /// Saved with the restored-state adjustment already applied: records
+  /// still pending or quarantined are not in the image, so they are dropped
+  /// from `ingested` and zeroed (docs/FAULT_MODEL.md §5).
   MonitorHealth health;
   std::uint64_t state_digest = 0;
   std::vector<ColumnInfo> columns;  ///< ascending ColumnId order
@@ -121,19 +141,22 @@ struct ColumnarManifest {
 std::uint64_t fnv1a64(std::string_view data,
                       std::uint64_t seed = 14695981039346656037ull);
 
-/// Serializes the monitor's delivered state as one CTC1 image. Exports the
-/// arena columns when the monitor can (cluster backend in arena mode);
-/// single-writer phase. `block_bytes` is the CRC block grid (smaller blocks
-/// localize corruption more precisely at more footer bytes).
+/// Serializes the monitor's delivered state as one CTC1 image. With
+/// `with_arena` it also exports the arena columns when the monitor can
+/// (cluster backend); checkpoints pass false. Single-writer phase.
+/// `block_bytes` is the CRC block grid (smaller blocks localize corruption
+/// more precisely at more footer bytes).
 std::string encode_columnar(const MonitoringEntity& monitor,
                             std::uint64_t generation,
-                            std::size_t block_bytes = 64 * 1024);
+                            std::size_t block_bytes = kColumnarBlockBytes,
+                            bool with_arena = true);
 
 /// Parses and validates the magic, trailer, footer CRC, and manifest of a
 /// CTC1 image, including the column table's structural invariants (bounds,
 /// alignment, ordering, count cross-checks). O(columns) — no column data is
 /// read. Throws ChecksumError on footer-CRC mismatch and CheckFailure
-/// (byte-offset-tagged) on everything else.
+/// (byte-offset-tagged) on everything else; a CTS1 object and a version-1
+/// image are refused with a reason that names them.
 ColumnarManifest parse_columnar_manifest(std::string_view bytes);
 
 /// Recomputes every block CRC against the stored ones. O(file) at hardware

@@ -1,13 +1,6 @@
 #include "durability/recovery.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <sstream>
-#include <utility>
-#include <vector>
-
 #include "durability/wal.hpp"
-#include "trace/snapshot.hpp"
 #include "util/check.hpp"
 
 namespace ct {
@@ -81,76 +74,6 @@ void replay_wal_tail(const wal::WalScan& scan, MonitoringEntity& monitor,
     report.migrations_applied = 1;
   }
   report.migration_epoch = monitor.migration_epoch();
-}
-
-RecoveredMonitor recover_monitor(const StorageBackend& storage,
-                                 std::size_t process_count,
-                                 const MonitorOptions& options,
-                                 const std::string& ns) {
-  RecoveredMonitor out;
-  RecoveryReport& report = out.report;
-
-  // ---- 1. newest usable snapshot (of this namespace only) ----
-  std::vector<std::pair<std::uint64_t, std::string>> snapshots;
-  for (const std::string& name : storage.list()) {
-    if (const auto seq = wal::parse_snapshot_name(name, ns)) {
-      snapshots.emplace_back(*seq, name);
-    }
-  }
-  std::sort(snapshots.rbegin(), snapshots.rend());  // newest first
-  std::optional<wal::WalScan> scan;  // the scan the accepted snapshot used
-  auto reject = [&report](std::size_t* cause, const std::string& name,
-                          const std::string& detail) {
-    ++report.snapshots_rejected;
-    ++*cause;
-    report.rejection_details.push_back(name + ": " + detail);
-  };
-  for (const auto& [seq, name] : snapshots) {
-    std::unique_ptr<MonitoringEntity> monitor;
-    try {
-      std::istringstream in(storage.read(name));
-      SnapshotMeta meta;
-      monitor = load_snapshot(in, &meta);
-      if (meta.wal_record_seq != seq) {
-        // The object name promises a WAL position the file does not carry
-        // (a v1 snapshot or a renamed object): structurally suspect, skip.
-        reject(&report.snapshots_rejected_structural, name,
-               "embedded WAL position " +
-                   std::to_string(meta.wal_record_seq) +
-                   " disagrees with the object name");
-        continue;
-      }
-    } catch (const CheckFailure& failure) {
-      // load_snapshot tags its errors with the byte offset of the failure.
-      reject(&report.snapshots_rejected_structural, name, failure.what());
-      continue;
-    }
-    // Structurally sound. Before accepting, make sure the durable log
-    // actually reaches the position the snapshot claims to cover: a
-    // snapshot past the log end would make recovery silently skip the
-    // records in between (nothing to replay, nothing to notice).
-    wal::WalScan candidate = wal::scan_wal(storage, seq, ns);
-    if (candidate.segments_scanned > 0 && candidate.log_end < seq) {
-      reject(&report.snapshots_rejected_position, name,
-             "references WAL position " + std::to_string(seq) +
-                 " past the durable log end " +
-                 std::to_string(candidate.log_end));
-      continue;
-    }
-    out.monitor = std::move(monitor);
-    report.snapshot_object = name;
-    report.snapshot_seq = seq;
-    scan = std::move(candidate);
-    break;
-  }
-  if (!out.monitor) {
-    out.monitor = std::make_unique<MonitoringEntity>(process_count, options);
-    scan = wal::scan_wal(storage, 0, ns);
-  }
-
-  // ---- 2–4. replay the WAL tail past the snapshot ----
-  replay_wal_tail(*scan, *out.monitor, report);
-  return out;
 }
 
 }  // namespace ct

@@ -1,21 +1,21 @@
-// Verified crash recovery: snapshot load + WAL-tail replay.
+// Verified crash recovery: WAL-tail replay past a restored image.
 //
 // Recovery turns whatever a crash left in storage back into a monitoring
 // entity, guaranteeing PREFIX CONSISTENCY: the recovered monitor's delivered
 // log is exactly a prefix of the pre-crash delivered log — never a record
 // invented, reordered, or half-applied. The procedure:
 //
-//   1. Try snapshots newest-first. Each must pass the CTS1 v2 whole-file
-//      CRC, replay cleanly, and match its embedded state digest
-//      (trace/snapshot.hpp) — a torn or bit-rotted snapshot is rejected
-//      structurally and the next-older one is tried; with none left,
-//      recovery starts from scratch.
+//   1. Restore the newest usable CTC1 image — a published generation or a
+//      checkpoint — or start from scratch. The recovery ladder
+//      (store/recovery_ladder.hpp, the one entry point) verifies every
+//      candidate and falls back, loudly accounted, past each one it
+//      rejects.
 //   2. Scan the WAL segments in order (wal.hpp grammar), checking segment
 //      chaining, per-frame CRCs, and commit-frame sequence/digest
 //      agreement; stop at the first inconsistency (truncate-at-first-
 //      invalid-frame).
-//   3. Replay the tail records past the snapshot's WAL position through the
-//      same delivered-order restore path snapshots use — the WAL *is* the
+//   3. Replay the tail records past the image's WAL position through the
+//      same delivered-order restore path images use — the WAL *is* the
 //      delivery order, so recovery reproduces it byte for byte. (Feeding
 //      the tail through ingest() instead would be subtly wrong: the
 //      delivery manager may re-pair a sync's two halves in the opposite
@@ -32,11 +32,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "durability/storage.hpp"
 #include "monitor/monitor.hpp"
 
 namespace ct {
@@ -46,21 +44,12 @@ struct WalScan;
 }
 
 struct RecoveryReport {
-  /// Snapshot object the monitor was restored from; empty = from scratch.
+  /// Image the monitor was restored from; empty = from scratch.
   std::string snapshot_object;
-  std::size_t snapshots_rejected = 0;  ///< total snapshots skipped
-  /// Rejection causes, counted separately (their sum is
-  /// snapshots_rejected): structurally invalid — bad magic/CRC, a parse
-  /// error at some byte offset, a digest mismatch, or a file whose embedded
-  /// position disagrees with its object name — versus structurally sound
-  /// but referencing a WAL position the durable log never reached (a
-  /// renamed or foreign snapshot; replaying "nothing" after it would
-  /// silently drop the records in between).
-  std::size_t snapshots_rejected_structural = 0;
-  std::size_t snapshots_rejected_position = 0;
-  /// One human-readable line per rejection, byte-offset-tagged where the
-  /// failure names an offset: "object: cause".
-  std::vector<std::string> rejection_details;
+  /// Always 0: the ladder counts every rejected image once, by cause, in
+  /// SnapshotHealth. Kept for callers that add it to
+  /// SnapshotHealth::total_rejected() (perfbench's cold-start child).
+  std::size_t snapshots_rejected = 0;
   std::uint64_t snapshot_seq = 0;      ///< WAL position the snapshot covered
   std::uint64_t replayed = 0;          ///< WAL tail records re-applied
   std::uint64_t recovered_seq = 0;     ///< records recovered in total
@@ -82,32 +71,11 @@ struct RecoveryReport {
   std::uint64_t migration_epoch = 0;
 };
 
-struct RecoveredMonitor {
-  std::unique_ptr<MonitoringEntity> monitor;
-  RecoveryReport report;
-};
-
-/// Recovers from `storage`. `process_count` and `options` configure the
-/// monitor only when no usable snapshot exists (a snapshot carries its own
-/// configuration). Throws CheckFailure only on invariant violations that
-/// indicate a bug (a verified WAL record failing to re-deliver) — all
-/// storage damage is absorbed into the report.
-///
-/// `ns` is the WAL namespace to recover (WalOptions::ns): only snapshots
-/// and segments carrying that prefix are read, so recovering one tenant of
-/// a shared StorageBackend never scans — and is never derailed by — a
-/// sibling tenant's objects, however corrupt those are (the per-tenant
-/// durability bulkhead, verified by tests/wal_namespace_test.cpp).
-RecoveredMonitor recover_monitor(const StorageBackend& storage,
-                                 std::size_t process_count,
-                                 const MonitorOptions& options,
-                                 const std::string& ns = "");
-
-/// Steps 2–4 of recovery, shared with the columnar recovery ladder
-/// (src/store/): holds back a trailing unpaired sync half, replays the
-/// scanned tail records past report.snapshot_seq through the delivered-
-/// order restore path, fixes up health accounting, and re-applies the
-/// newest committed migration. Fills report.{replayed, held, recovered_seq,
+/// Steps 2–3 of recovery, run by the recovery ladder (src/store/) on every
+/// rung: holds back a trailing unpaired sync half, replays the scanned tail
+/// records past report.snapshot_seq through the delivered-order restore
+/// path, fixes up health accounting, and re-applies the newest committed
+/// migration. Fills report.{replayed, held, recovered_seq,
 /// segments_scanned, truncated, truncate_detail, migrations_*,
 /// migration_epoch}; requires report.snapshot_seq to be the position the
 /// monitor was restored to.

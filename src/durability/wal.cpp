@@ -1,10 +1,11 @@
 #include "durability/wal.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <bit>
+#include <cstring>
 
+#include "durability/format.hpp"
 #include "monitor/monitor.hpp"
-#include "trace/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
 #include "util/varint.hpp"
@@ -31,27 +32,36 @@ std::string pad(std::uint64_t v, int width) {
   return s;
 }
 
-void put_u32_le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
+template <typename T>
+void put_le(std::string& out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
 }
 
-void put_u64_le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
+template <typename T>
+T get_le(std::string_view data, std::size_t at) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, data.data() + at, sizeof(T));  // one load
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<unsigned char>(data[at + i])) << (8 * i);
+    }
   }
-}
-
-std::uint64_t fnv_extend(std::uint64_t digest, std::string_view data) {
-  for (const char c : data) {
-    digest ^= static_cast<unsigned char>(c);
-    digest *= kFnvPrime;
-  }
-  return digest;
+  return v;
 }
 
 }  // namespace
+
+void put_u32_le(std::string& out, std::uint32_t v) { put_le(out, v); }
+void put_u64_le(std::string& out, std::uint64_t v) { put_le(out, v); }
+std::uint32_t get_u32_le(std::string_view data, std::size_t at) {
+  return get_le<std::uint32_t>(data, at);
+}
+std::uint64_t get_u64_le(std::string_view data, std::size_t at) {
+  return get_le<std::uint64_t>(data, at);
+}
 
 std::string segment_object_name(std::uint64_t segment_seq,
                                 const std::string& ns) {
@@ -136,14 +146,114 @@ bool headerless_segment(std::string_view data, std::uint64_t segment_seq) {
          try_get_varint(data, head.size()).error == VarintError::kTruncated;
 }
 
-std::string encode_record(const Event& e) {
-  std::string payload;
-  put_varint(payload, e.id.process);
-  put_varint(payload, e.id.index);
-  payload.push_back(static_cast<char>(e.kind));
-  put_varint(payload, e.partner.process);
-  put_varint(payload, e.partner.index);
-  return payload;
+void encode_record(std::string& out, const Event& e) {
+  put_varint(out, e.id.process);
+  put_varint(out, e.id.index);
+  out.push_back(static_cast<char>(e.kind));
+  put_varint(out, e.partner.process);
+  put_varint(out, e.partner.index);
+}
+
+namespace {
+
+/// One 32-bit record field. One- and two-byte encodings, the common cases,
+/// are read without a data-dependent branch: their lengths mix at random
+/// in a record stream. Longer or non-canonical ones (a continuation or a
+/// final 0x00 in the second byte) take the hardened decoder.
+bool take_field(std::string_view data, std::size_t& pos, std::uint32_t& out) {
+  if (pos + 1 < data.size()) {
+    const std::uint32_t b0 = static_cast<unsigned char>(data[pos]);
+    const std::uint32_t b1 = static_cast<unsigned char>(data[pos + 1]);
+    const std::uint32_t two = b0 >> 7;  // 1 when b1 continues the varint
+    if ((two & ((b1 >> 7) | static_cast<std::uint32_t>(b1 == 0))) == 0) {
+      out = (b0 & 0x7fu) | ((b1 << 7) & (0u - two));
+      pos += 1 + two;
+      return true;
+    }
+  }
+  const VarintDecode d = try_get_varint(data, pos);
+  if (!d.ok() || d.value > 0xffffffffull) return false;
+  pos += d.length;
+  out = static_cast<std::uint32_t>(d.value);
+  return true;
+}
+
+}  // namespace
+
+bool decode_record(std::string_view data, std::size_t& pos, Event& out) {
+  std::uint32_t process = 0, index = 0, partner_process = 0, partner_index = 0;
+  if (!take_field(data, pos, process) || !take_field(data, pos, index) ||
+      pos >= data.size()) {
+    return false;
+  }
+  const auto kind = static_cast<std::uint8_t>(data[pos++]);
+  if (kind > static_cast<std::uint8_t>(EventKind::kSync) ||
+      !take_field(data, pos, partner_process) ||
+      !take_field(data, pos, partner_index)) {
+    return false;
+  }
+  out.id = EventId{process, index};
+  out.kind = static_cast<EventKind>(kind);
+  out.partner = EventId{partner_process, partner_index};
+  return true;
+}
+
+namespace {
+
+/// Bytes below 0x80 — varint terminators and kind bytes — in the `words`
+/// words at `data[at]`. Each sets a 0x01 lane; the multiply adds the lanes
+/// into the top byte (at most 32 here, so no carry crosses a lane).
+std::uint64_t terminators(std::string_view data, std::size_t at,
+                          std::size_t words) {
+  std::uint64_t lanes = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    lanes += (~get_u64_le(data, at + 8 * w) & 0x8080808080808080ull) >> 7;
+  }
+  return (lanes * 0x0101010101010101ull) >> 56;
+}
+
+}  // namespace
+
+// A block of k bytes holds at most k terminators, so both skips consume
+// whole blocks while more than a block's worth is still to be passed.
+std::size_t skip_records(std::string_view data, std::size_t pos,
+                         std::uint64_t n) {
+  std::uint64_t need = 5 * n;  // terminators still to pass
+  while (need >= 32 && pos + 32 <= data.size()) {
+    need -= terminators(data, pos, 4);
+    pos += 32;
+  }
+  while (need >= 8 && pos + 8 <= data.size()) {
+    need -= terminators(data, pos, 1);
+    pos += 8;
+  }
+  for (; need > 0 && pos < data.size(); ++pos) {
+    if (static_cast<unsigned char>(data[pos]) < 0x80) --need;
+  }
+  return pos;
+}
+
+std::size_t skip_records_back(std::string_view data, std::size_t end,
+                              std::uint64_t n) {
+  // The record starts just past the last byte of the one before it: the
+  // (5n+1)-th terminator back from `end`.
+  std::uint64_t need = 5 * n + 1;
+  std::size_t pos = std::min(end, data.size());
+  while (need > 32 && pos >= 32) {
+    need -= terminators(data, pos - 32, 4);
+    pos -= 32;
+  }
+  while (need > 8 && pos >= 8) {
+    need -= terminators(data, pos - 8, 1);
+    pos -= 8;
+  }
+  while (pos > 0) {
+    --pos;
+    if (static_cast<unsigned char>(data[pos]) < 0x80 && --need == 0) {
+      return pos + 1;
+    }
+  }
+  return 0;
 }
 
 void put_frame(std::string& out, std::uint8_t type,
@@ -235,13 +345,7 @@ WalScan scan_wal(const StorageBackend& storage, std::uint64_t from_seq,
       }
       const std::string_view framed(data.data() + frame_at,
                                     payload_at + len.value - frame_at);
-      std::uint32_t stored = 0;
-      for (std::size_t i = 0; i < 4; ++i) {
-        stored |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-                      data[payload_at + len.value + i]))
-                  << (i * 8);
-      }
-      if (crc32c(framed) != stored) {
+      if (crc32c(framed) != get_u32_le(data, payload_at + len.value)) {
         stop(name + ": CRC mismatch at offset " + std::to_string(frame_at));
         return scan;
       }
@@ -251,37 +355,12 @@ WalScan scan_wal(const StorageBackend& storage, std::uint64_t from_seq,
       if (type == kRecordFrame) {
         Event e;
         std::size_t p = 0;
-        const VarintDecode f1 = try_get_varint(payload, p);
-        if (!f1.ok()) { stop(name + ": bad record payload"); return scan; }
-        p += f1.length;
-        const VarintDecode f2 = try_get_varint(payload, p);
-        if (!f2.ok()) { stop(name + ": bad record payload"); return scan; }
-        p += f2.length;
-        if (p >= payload.size()) {
-          stop(name + ": bad record payload");
-          return scan;
-        }
-        const auto kind_raw = static_cast<std::uint8_t>(payload[p++]);
-        const VarintDecode f3 = try_get_varint(payload, p);
-        if (!f3.ok()) { stop(name + ": bad record payload"); return scan; }
-        p += f3.length;
-        const VarintDecode f4 = try_get_varint(payload, p);
-        if (!f4.ok()) { stop(name + ": bad record payload"); return scan; }
-        p += f4.length;
-        if (p != payload.size() || f1.value > 0xffffffffull ||
-            f2.value > 0xffffffffull || f3.value > 0xffffffffull ||
-            f4.value > 0xffffffffull ||
-            kind_raw > static_cast<std::uint8_t>(EventKind::kSync)) {
+        if (!decode_record(payload, p, e) || p != payload.size()) {
           stop(name + ": bad record payload at offset " +
                std::to_string(frame_at));
           return scan;
         }
-        e.id = EventId{static_cast<ProcessId>(f1.value),
-                       static_cast<EventIndex>(f2.value)};
-        e.kind = static_cast<EventKind>(kind_raw);
-        e.partner = EventId{static_cast<ProcessId>(f3.value),
-                            static_cast<EventIndex>(f4.value)};
-        digest = fnv_extend(digest, payload);
+        digest = fnv1a64(payload, digest);
         if (seq >= scan.next_seq) {
           scan.records.push_back(wal::WalRecord{seq, e});
           scan.next_seq = seq + 1;
@@ -297,13 +376,7 @@ WalScan scan_wal(const StorageBackend& storage, std::uint64_t from_seq,
           stop(name + ": bad commit payload");
           return scan;
         }
-        std::uint64_t cdigest = 0;
-        for (std::size_t i = 0; i < 8; ++i) {
-          cdigest |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                         payload[p + i]))
-                     << (i * 8);
-        }
-        if (cseq.value != seq || cdigest != digest) {
+        if (cseq.value != seq || get_u64_le(payload, p) != digest) {
           stop(name + ": commit frame disagrees with replay at offset " +
                std::to_string(frame_at) + " (commit seq " +
                std::to_string(cseq.value) + ", replayed to " +
@@ -322,14 +395,8 @@ WalScan scan_wal(const StorageBackend& storage, std::uint64_t from_seq,
         };
         auto take_u64 = [&payload, &p](std::uint64_t* out) {
           if (p + 8 > payload.size()) return false;
-          std::uint64_t v = 0;
-          for (std::size_t i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(payload[p + i]))
-                 << (i * 8);
-          }
+          *out = get_u64_le(payload, p);
           p += 8;
-          *out = v;
           return true;
         };
         WalMigration m;
@@ -460,18 +527,12 @@ void DurableLog::append(const Event& e) {
     open_segment(next_seq_);
     ++stats_.rotations;
   }
-  const std::string payload = wal::encode_record(e);
+  std::string payload;
+  wal::encode_record(payload, e);
   std::string frame;
   wal::put_frame(frame, wal::kRecordFrame, payload);
   storage_.append(segment_name_, frame);
-  segment_digest_ = [this, &payload] {
-    std::uint64_t d = segment_digest_;
-    for (const char c : payload) {
-      d ^= static_cast<unsigned char>(c);
-      d *= wal::kFnvPrime;
-    }
-    return d;
-  }();
+  segment_digest_ = fnv1a64(payload, segment_digest_);
   ++next_seq_;
   ++stats_.appends;
   stats_.bytes_appended += frame.size();
@@ -495,12 +556,8 @@ void DurableLog::sync() {
   if (synced_seq_ == next_seq_ && unsynced_records_ == 0) return;
   std::string payload;
   put_varint(payload, next_seq_);
+  wal::put_u64_le(payload, segment_digest_);
   std::string frame;
-  {
-    std::string digest_bytes;
-    wal::put_u64_le(digest_bytes, segment_digest_);
-    payload += digest_bytes;
-  }
   wal::put_frame(frame, wal::kCommitFrame, payload);
   storage_.append(segment_name_, frame);
   storage_.sync(segment_name_);
@@ -566,20 +623,21 @@ void DurableLog::checkpoint(const MonitoringEntity& monitor) {
                    << monitor.delivery_log().size() << " delivered vs "
                    << next_seq_ << " logged");
 
-  std::ostringstream snap;
-  save_snapshot(snap, monitor);
+  const std::string image =
+      encode_columnar(monitor, /*generation=*/0, kColumnarBlockBytes,
+                      /*with_arena=*/false);
   const std::string name = wal::snapshot_object_name(next_seq_, options_.ns);
   if (storage_.exists(name)) storage_.remove(name);
   storage_.create(name);
-  storage_.append(name, snap.str());
+  storage_.append(name, image);
   storage_.sync(name);
   storage_.sync_dir();
   ++stats_.checkpoints;
-  stats_.bytes_appended += snap.str().size();
+  stats_.bytes_appended += image.size();
 
-  // Retain the newest `retain_checkpoints` snapshots; prune WAL segments
-  // wholly covered by the OLDEST retained one (so every retained snapshot
-  // can still recover with the remaining tail).
+  // Retain the newest kRetainedImages images; prune WAL segments wholly
+  // covered by the OLDEST retained one (so every retained image can still
+  // recover with the remaining tail).
   std::vector<std::uint64_t> snap_seqs;
   std::vector<std::pair<std::uint64_t, std::string>> segments;
   for (const std::string& obj : storage_.list()) {
@@ -592,8 +650,7 @@ void DurableLog::checkpoint(const MonitoringEntity& monitor) {
   std::sort(snap_seqs.begin(), snap_seqs.end());
   std::sort(segments.begin(), segments.end());
   bool removed = false;
-  const std::size_t retain = std::max<std::size_t>(1, options_.retain_checkpoints);
-  while (snap_seqs.size() > retain) {
+  while (snap_seqs.size() > kRetainedImages) {
     storage_.remove(wal::snapshot_object_name(snap_seqs.front(), options_.ns));
     snap_seqs.erase(snap_seqs.begin());
     ++stats_.snapshots_pruned;

@@ -42,11 +42,11 @@
 // crash may lose — never more (the storage model in storage.hpp enforces
 // exactly this, and the crash sweep verifies it).
 //
-// checkpoint() writes a CTS1 snapshot object (trace/snapshot.hpp, v2: the
-// snapshot embeds its WAL position and a whole-file CRC), prunes segments
-// wholly covered by the oldest retained snapshot, and keeps the newest
-// `retain_checkpoints` snapshots — incremental checkpointing: the WAL only
-// ever grows by the tail since the last snapshot.
+// checkpoint() writes an events-only CTC1 image (format.hpp) whose event
+// column holds the delivered records in this same record grammar, prunes
+// segments wholly covered by the oldest retained image, and keeps the newest
+// kRetainedImages images — incremental checkpointing: the WAL only ever
+// grows by the tail since the last checkpoint.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +78,6 @@ struct WalOptions {
   SyncPolicy policy = SyncPolicy::kEveryRecord;
   std::size_t sync_every = 64;            ///< kEveryN batch size
   std::size_t segment_bytes = 256 * 1024; ///< rotation threshold
-  std::size_t retain_checkpoints = 2;     ///< snapshots kept after pruning
   /// Namespace prefix prepended to every object this log creates (segments
   /// and snapshots). Many tenants can then share one StorageBackend with
   /// disjoint object sets: appends, pruning, and recovery of one namespace
@@ -141,8 +140,9 @@ class DurableLog {
   /// was appended since the last sync.
   void sync();
 
-  /// Snapshots `monitor` (which must be the monitor this log records for),
-  /// makes it durable, prunes covered segments and stale snapshots.
+  /// Writes `monitor` (which must be the monitor this log records for) as an
+  /// events-only CTC1 image `<ns>snap-<seq>.cts`, makes it durable, prunes
+  /// covered segments and images past the retention window.
   void checkpoint(const MonitoringEntity& monitor);
 
   /// Appends a migration-intent frame for the prepare phase and makes it
@@ -221,8 +221,32 @@ bool valid_namespace(const std::string& ns);
 /// DurableLog reopens it.
 bool headerless_segment(std::string_view data, std::uint64_t segment_seq);
 
-/// Serializes one record payload (no frame).
-std::string encode_record(const Event& e);
+/// Appends one event in the record grammar (the record frame's payload, and
+/// each entry of the CTC1 event column): varint process | varint index |
+/// u8 kind | varint partner.process | varint partner.index.
+void encode_record(std::string& out, const Event& e);
+/// Decodes one record at `data[pos]` and advances `pos` past it. Returns
+/// false — leaving `pos` and `out` unspecified — on a truncated or
+/// non-canonical varint, a field wider than 32 bits, or an unknown kind.
+/// Never reads past `data`.
+bool decode_record(std::string_view data, std::size_t& pos, Event& out);
+/// Offset just past `n` records starting at `data[pos]`, found without
+/// decoding them: every record holds exactly five bytes below 0x80 (four
+/// varint terminators and the kind byte), so counting those bytes a word
+/// at a time skips records. Exact on well-formed records; never past
+/// `data.size()`.
+std::size_t skip_records(std::string_view data, std::size_t pos,
+                         std::uint64_t n);
+/// The same, backwards: the offset of the record `n` >= 1 records before
+/// the record boundary `end` (0 when the data starts first).
+std::size_t skip_records_back(std::string_view data, std::size_t end,
+                              std::uint64_t n);
+/// Fixed-width little-endian fields of the WAL and CTC1 grammars. The
+/// readers take `data[at]` onwards; the caller checks the bounds.
+void put_u32_le(std::string& out, std::uint32_t v);
+void put_u64_le(std::string& out, std::uint64_t v);
+std::uint32_t get_u32_le(std::string_view data, std::size_t at);
+std::uint64_t get_u64_le(std::string_view data, std::size_t at);
 /// Serializes one migration-intent payload (no frame).
 std::string encode_migration_intent(const WalMigration& m);
 /// Appends one framed record/commit to `out`.

@@ -10,15 +10,14 @@
 //
 // Ingestion is fault tolerant (docs/FAULT_MODEL.md): ingest() reports a
 // structured IngestResult, health() accounts for every record that did not
-// make it into the store, and save_snapshot()/load_snapshot() (trace/
-// snapshot.hpp) checkpoint the delivered state so a restarted monitor
+// make it into the store, and CTC1 checkpoint images (durability/wal.hpp,
+// durability/format.hpp) persist the delivered state so a restarted monitor
 // replays only the tail of a stream.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
@@ -42,17 +41,11 @@ namespace ct {
 /// Every current cluster's cluster_digest, in ascending cluster-id order.
 using ClusterDigests = std::vector<std::pair<ClusterId, std::uint64_t>>;
 
-class MonitoringEntity;
-struct SnapshotMeta;      // trace/snapshot.hpp
-class StorageBackend;     // durability/storage.hpp
-struct RecoveredMonitor;  // durability/recovery.hpp
-struct RecoveryReport;    // durability/recovery.hpp
-struct ColumnarRestorer;  // store/recovery_ladder.cpp
+struct RecoveryReport;  // durability/recovery.hpp
+class MappedSnapshot;   // store/mapped_view.hpp
 namespace wal {
 struct WalScan;  // durability/wal.hpp
 }
-void save_snapshot(std::ostream& out, const MonitoringEntity& monitor);
-std::unique_ptr<MonitoringEntity> load_snapshot(std::istream& in);
 
 enum class TimestampBackend : std::uint8_t {
   kPrecomputedFm,   ///< full FM vector stored per event (§1.1 baseline)
@@ -117,7 +110,7 @@ class MonitoringEntity {
     return static_cast<EventIndex>(delivery_.delivered_events(p).size());
   }
 
-  /// Delivered events in delivery order (the replay log a snapshot saves).
+  /// Delivered events in delivery order (the replay log an image saves).
   std::span<const EventId> delivery_log() const {
     return delivery_.delivery_log();
   }
@@ -238,25 +231,15 @@ class MonitoringEntity {
   Trace delivered_trace() const;
 
  private:
-  friend void save_snapshot(std::ostream& out, const MonitoringEntity& m);
-  friend std::unique_ptr<MonitoringEntity> load_snapshot(std::istream& in);
-  friend std::unique_ptr<MonitoringEntity> load_snapshot(std::istream& in,
-                                                         SnapshotMeta* meta);
-  // WAL recovery replays the log tail through the same delivered-order
-  // restore path as snapshots — an ingest()-based replay could re-pair a
-  // sync's halves in the opposite order from the recording.
-  friend RecoveredMonitor recover_monitor(const StorageBackend& storage,
-                                          std::size_t process_count,
-                                          const MonitorOptions& options,
-                                          const std::string& ns);
-  // The shared WAL-tail replay of recovery and the columnar ladder
-  // (durability/recovery.cpp) — same delivered-order restore path.
+  // WAL-tail replay (durability/recovery.cpp) and CTC1 image restore
+  // (store/recovery_ladder.cpp) re-apply recorded deliveries through the
+  // delivered-order restore path — an ingest()-based replay could re-pair
+  // a sync's halves in the opposite order from the recording.
   friend void replay_wal_tail(const wal::WalScan& scan,
                               MonitoringEntity& monitor,
                               RecoveryReport& report);
-  // CTC1 columnar restore (store/recovery_ladder.cpp) replays the
-  // snapshot's event columns through the delivered-order path.
-  friend struct ColumnarRestorer;
+  friend std::unique_ptr<MonitoringEntity> restore_columnar(
+      const MappedSnapshot& snap);
 
   void deliver(const Event& e);
   bool is_delivered(EventId id) const;

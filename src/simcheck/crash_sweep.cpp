@@ -187,7 +187,7 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
 
     // What an ideal disk kept at this cut — the loss-accounting baseline.
     // Both recoveries run the full ladder: with the columnar store off no
-    // CTC1 objects exist and the ladder IS recover_monitor.
+    // generation exists and recovery starts at the checkpoint rung.
     LadderRecovery perfect;
     try {
       const auto ideal =

@@ -80,11 +80,11 @@ struct CrashSweepReport {
   /// Which recovery-ladder rung each crash point landed on (their sum is
   /// crash_points when the columnar store is on).
   std::size_t ladder_mapped = 0;    ///< a CTC1 generation + WAL tail
-  std::size_t ladder_snapshot = 0;  ///< the CTS1 checkpoint rung
+  std::size_t ladder_snapshot = 0;  ///< a checkpoint image + WAL tail
   std::size_t ladder_wal = 0;       ///< full WAL replay or scratch
-  /// Columnar candidates loudly rejected across all crash points (checksum,
-  /// structural, name-mismatch, position, replay causes) plus quarantined
-  /// half-published tmps — the zero-silent-corruption ledger.
+  /// Images of either family loudly rejected across all crash points
+  /// (checksum, structural, name-mismatch, position, replay causes) plus
+  /// quarantined half-published tmps — the zero-silent-corruption ledger.
   std::size_t snapshots_quarantined = 0;
   std::uint64_t checks = 0;
   std::optional<SimDivergence> divergence;

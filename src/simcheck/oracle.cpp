@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <future>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -22,8 +21,9 @@
 #include "monitor/queries.hpp"
 #include "monitor/query_broker.hpp"
 #include "recluster/coordinator.hpp"
+#include "store/mapped_view.hpp"
+#include "store/recovery_ladder.hpp"
 #include "timestamp/ondemand_fm.hpp"
-#include "trace/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -435,10 +435,14 @@ SimReport run_schedule(const SimSchedule& schedule,
           break;
         }
         case SimOp::Kind::kCheckpointRestore: {
+          // The checkpoint image DurableLog::checkpoint writes, restored
+          // through the recovery ladder's verify-and-restore steps.
           const std::uint64_t before = monitor->state_digest();
-          std::stringstream buffer;
-          save_snapshot(buffer, *monitor);
-          auto restored = load_snapshot(buffer);
+          const MappedSnapshot image(ColdBytes::from_string(encode_columnar(
+              *monitor, /*generation=*/0, kColumnarBlockBytes,
+              /*with_arena=*/false)));
+          image.verify();
+          auto restored = restore_columnar(image);
           if (restored->state_digest() != before) {
             diverge(i, "snapshot",
                     "state digest moved across save/load round-trip");

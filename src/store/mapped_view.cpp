@@ -5,10 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "durability/storage.hpp"
+#include "durability/wal.hpp"
 #include "util/check.hpp"
 
 namespace ct {
@@ -85,12 +87,12 @@ MappedSnapshot::MappedSnapshot(ColdBytes bytes) : bytes_(std::move(bytes)) {
       reinterpret_cast<std::uintptr_t>(bytes_.view().data()) % 4 == 0,
       "columnar image is not 4-byte aligned");
 
-  ev_process_ = u32_column(ColumnId::kEvProcess);
-  ev_index_ = u32_column(ColumnId::kEvIndex);
-  ev_kind_ = reinterpret_cast<const std::uint8_t*>(
-      bytes_.view().data() + manifest_.column(ColumnId::kEvKind)->offset);
-  ev_pp_ = u32_column(ColumnId::kEvPartnerProcess);
-  ev_pi_ = u32_column(ColumnId::kEvPartnerIndex);
+  const ColumnInfo* records = manifest_.column(ColumnId::kEvRecords);
+  records_ = bytes_.view().substr(static_cast<std::size_t>(records->offset),
+                                  static_cast<std::size_t>(records->bytes));
+  const ColumnInfo* runs = manifest_.column(ColumnId::kEvRunOffsets);
+  run_offsets_ = bytes_.view().substr(static_cast<std::size_t>(runs->offset),
+                                      static_cast<std::size_t>(runs->bytes));
   if (!manifest_.has_arena) return;
 
   pool_ = u32_column(ColumnId::kPool);
@@ -162,16 +164,41 @@ MappedSnapshot::MappedSnapshot(ColdBytes bytes) : bytes_(std::move(bytes)) {
                                            << csp->offset);
 }
 
+std::uint64_t MappedSnapshot::run_offset(std::uint64_t run) const {
+  return wal::get_u64_le(run_offsets_, run * 8);
+}
+
+Event MappedSnapshot::decode_event(std::uint64_t i, std::size_t& pos) const {
+  const std::size_t at = pos;
+  Event e;
+  CT_CHECK_MSG(wal::decode_record(records_, pos, e),
+               "event " << i << " is a malformed record at byte offset "
+                        << manifest_.column(ColumnId::kEvRecords)->offset +
+                               at);
+  return e;
+}
+
 Event MappedSnapshot::event(std::uint64_t i) const {
   CT_CHECK_MSG(i < manifest_.event_count,
                "event " << i << " past the " << manifest_.event_count
                         << " stored events");
-  const auto at = static_cast<std::size_t>(i);
-  Event e;
-  e.id = EventId{ev_process_[at], ev_index_[at]};
-  e.kind = static_cast<EventKind>(ev_kind_[at]);
-  e.partner = EventId{ev_pp_[at], ev_pi_[at]};
-  return e;
+  // Skip to record i from the nearer end of its run.
+  auto offset = [this](std::uint64_t run) {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(run_offset(run), records_.size()));
+  };
+  const std::uint64_t run = i / kEventRunRecords;
+  const std::uint64_t skip = i % kEventRunRecords;
+  const bool last = (run + 1) * kEventRunRecords >= manifest_.event_count;
+  const std::uint64_t records =
+      last ? manifest_.event_count - run * kEventRunRecords : kEventRunRecords;
+  std::size_t pos =
+      skip <= records / 2
+          ? wal::skip_records(records_, offset(run), skip)
+          : wal::skip_records_back(
+                records_, last ? records_.size() : offset(run + 1),
+                records - skip);
+  return decode_event(i, pos);
 }
 
 EventIndex MappedSnapshot::delivered_count(ProcessId p) const {
@@ -181,14 +208,18 @@ EventIndex MappedSnapshot::delivered_count(ProcessId p) const {
 }
 
 bool MappedSnapshot::precedes(const Event& ev_e, const Event& ev_f) const {
-  CT_DCHECK(manifest_.has_arena);
   const EventId e = ev_e.id;
   const EventId f = ev_f.id;
+  CT_CHECK_MSG(manifest_.has_arena, "precedes on an events-only image");
+  // f.index - 1 wraps for index 0, so one unsigned compare covers both ends.
+  CT_CHECK_MSG(f.process < process_count() &&
+                   std::uint64_t{f.index} - 1 <
+                       row_base_[f.process + 1] - row_base_[f.process],
+               "event " << f << " is not in the image");
+  CT_CHECK_MSG(e.process < process_count(),
+               "event " << e << " is not in the image");
   if (e == f) return false;
   if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-  CT_DCHECK(f.process < process_count() && f.index >= 1 &&
-            f.index <= row_base_[f.process + 1] - row_base_[f.process]);
-  CT_DCHECK(e.process < process_count());
 
   const std::size_t r =
       static_cast<std::size_t>(row_base_[f.process]) + f.index - 1;
@@ -213,27 +244,39 @@ bool MappedSnapshot::precedes(const Event& ev_e, const Event& ev_f) const {
 void MappedSnapshot::verify_structure() const {
   const std::size_t procs = process_count();
 
-  // ---- event columns: ids in range, per-process consecutive indices ----
+  // ---- event records: well formed, indexed at every run start, ids in
+  // range, per-process consecutive indices, filling the column exactly ----
   std::vector<std::uint32_t> seen(procs, 0);
-  const ColumnInfo* evp = manifest_.column(ColumnId::kEvProcess);
-  const ColumnInfo* evi = manifest_.column(ColumnId::kEvIndex);
-  const ColumnInfo* evk = manifest_.column(ColumnId::kEvKind);
+  const std::uint64_t base = manifest_.column(ColumnId::kEvRecords)->offset;
+  const std::uint64_t runs_at =
+      manifest_.column(ColumnId::kEvRunOffsets)->offset;
+  std::size_t pos = 0;
   for (std::uint64_t i = 0; i < manifest_.event_count; ++i) {
-    const auto at = static_cast<std::size_t>(i);
-    const std::uint32_t p = ev_process_[at];
+    const std::size_t at = pos;
+    if (i % kEventRunRecords == 0) {
+      const std::uint64_t run = i / kEventRunRecords;
+      CT_CHECK_MSG(run_offset(run) == at,
+                   "run " << run << " names record offset " << run_offset(run)
+                          << " but event " << i << " starts at " << at
+                          << ", at byte offset " << runs_at + run * 8);
+    }
+    const Event e = decode_event(i, pos);
+    const std::uint32_t p = e.id.process;
     CT_CHECK_MSG(p < procs, "event " << i << " names process " << p
                                      << " of " << procs << " at byte offset "
-                                     << evp->offset + i * 4);
-    CT_CHECK_MSG(ev_index_[at] == seen[p] + 1,
-                 "event " << i << " has index " << ev_index_[at]
+                                     << base + at);
+    CT_CHECK_MSG(e.id.index == seen[p] + 1,
+                 "event " << i << " has index " << e.id.index
                           << ", expected " << seen[p] + 1
                           << " for process " << p << " at byte offset "
-                          << evi->offset + i * 4);
+                          << base + at);
     ++seen[p];
-    CT_CHECK_MSG(ev_kind_[at] <= static_cast<std::uint8_t>(EventKind::kSync),
-                 "event " << i << " has bad kind " << int{ev_kind_[at]}
-                          << " at byte offset " << evk->offset + i);
   }
+  CT_CHECK_MSG(pos == records_.size(),
+               "ev_records holds " << records_.size() - pos
+                                   << " bytes past its last event at byte "
+                                      "offset "
+                                   << base + pos);
   if (!manifest_.has_arena) return;
 
   // ---- arena columns: every descriptor within the pool and its tables ----

@@ -1,9 +1,11 @@
 // The mapped read path of the out-of-core store.
 //
-// A MappedSnapshot opens a CTC1 image (format.hpp) and serves the arena read
-// API — precedence queries, event lookups — directly from the persisted
-// columns, with zero replay: opening costs O(processes + covered sets) to
-// rebuild prefix sums and covered-set position tables, never O(events).
+// A MappedSnapshot opens a CTC1 image (durability/format.hpp) and serves
+// the arena read API — precedence queries, event lookups — directly from
+// the persisted columns, with zero replay: opening costs O(processes +
+// covered sets) to rebuild prefix sums and covered-set position tables,
+// never O(events). An events-only image (a checkpoint) serves event
+// lookups and the replay path only.
 // Against a FileStorage backend the image is memory-mapped read-only
 // (PROT_READ), so a cold server answers its first query after one mmap and
 // the page cache faults columns in on demand; RSS is bounded by the touched
@@ -17,10 +19,11 @@
 //   verify_digests()    — per-column FNV audit, O(file bytes) but serial;
 //   verify_structure()  — semantic bounds of every row/probe/event,
 //                         O(events);
+//   verify()            — the three above, in that order.
 // The recovery ladder (recovery_ladder.hpp) runs all four before trusting
-// an image; the mapped cold-start path pays blocks + structure; precedes()
-// assumes verify_structure() passed and stays on the CT_DCHECK-only fast
-// path.
+// an image; the mapped cold-start path pays blocks + structure. precedes()
+// checks its operands against the image's extents, in release builds too;
+// the bounds of the rows and probes it then follows are verify_structure()'s.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +32,8 @@
 #include <string_view>
 #include <vector>
 
+#include "durability/format.hpp"
 #include "model/event.hpp"
-#include "store/format.hpp"
 
 namespace ct {
 
@@ -87,16 +90,31 @@ class MappedSnapshot {
   }
   std::string_view bytes() const { return bytes_.view(); }
 
-  /// The i-th delivered event, straight from the event columns.
+  /// The i-th delivered event: skips from the start of its run of
+  /// kEventRunRecords records to it, then decodes it. Exact on an image
+  /// that passed verify_structure(); never reads outside the image; throws
+  /// CheckFailure when the record it lands on is malformed.
   Event event(std::uint64_t i) const;
+
+  /// Visits every delivered event in delivery order, decoding the record
+  /// column front to back — O(events), the replay path. Throws CheckFailure
+  /// on a malformed record.
+  template <typename Visit>
+  void for_each_event(Visit&& visit) const {
+    std::size_t pos = 0;
+    for (std::uint64_t i = 0; i < manifest_.event_count; ++i) {
+      visit(decode_event(i, pos));
+    }
+  }
 
   /// Delivered events of process `p` (arena images only).
   EventIndex delivered_count(ProcessId p) const;
 
   /// Happened-before from the mapped arena columns — the same algorithm as
-  /// ClusterTimestampEngine::precedes, byte for byte of state. Both
-  /// events must be within this snapshot's delivered prefix; requires
-  /// has_arena() and a verify_structure() pass (fast path is CT_DCHECK-only).
+  /// ClusterTimestampEngine::precedes, byte for byte of state. Throws
+  /// CheckFailure on an events-only image, when `f` is not in this image,
+  /// or when `e`'s process is not — the operand checks the engine makes;
+  /// the rows it follows are trusted after a verify_structure() pass.
   bool precedes(const Event& e, const Event& f) const;
 
   /// Recomputes every block CRC (covers every column byte). O(file).
@@ -109,23 +127,33 @@ class MappedSnapshot {
     verify_columnar_digests(bytes_.view(), manifest_);
   }
 
-  /// Semantic bounds of every event row: event ids in range and per-process
-  /// consecutive, row extents inside the pool, projections consistent with
-  /// their covered sets, probe targets full-width. O(events). Throws
-  /// CheckFailure tagged with the byte offset of the offending element.
+  /// Semantic bounds of every event row: records well formed and filling
+  /// their column exactly, every run offset on its record's first byte,
+  /// event ids in range and per-process consecutive, row extents inside the
+  /// pool, projections consistent with their covered sets, probe targets
+  /// full-width. O(events). Throws CheckFailure tagged with the byte offset
+  /// of the offending element.
   void verify_structure() const;
+
+  /// Every tier: verify_blocks, verify_digests, verify_structure.
+  void verify() const {
+    verify_blocks();
+    verify_digests();
+    verify_structure();
+  }
 
  private:
   const std::uint32_t* u32_column(ColumnId id) const;
+  /// Byte offset, within ev_records, of record `run * kEventRunRecords`.
+  std::uint64_t run_offset(std::uint64_t run) const;
+  /// Decodes record `i` at `pos` of ev_records and advances `pos`.
+  Event decode_event(std::uint64_t i, std::size_t& pos) const;
 
   ColdBytes bytes_;
   ColumnarManifest manifest_;
 
-  const std::uint32_t* ev_process_ = nullptr;
-  const std::uint32_t* ev_index_ = nullptr;
-  const std::uint8_t* ev_kind_ = nullptr;
-  const std::uint32_t* ev_pp_ = nullptr;
-  const std::uint32_t* ev_pi_ = nullptr;
+  std::string_view records_;      ///< the ev_records column
+  std::string_view run_offsets_;  ///< ev_run_offsets, u64le each
 
   const std::uint32_t* pool_ = nullptr;
   const std::uint32_t* row_offset_ = nullptr;

@@ -2,8 +2,8 @@
 
 #include <utility>
 
+#include "durability/format.hpp"
 #include "durability/wal.hpp"
-#include "store/format.hpp"
 #include "store/mapped_view.hpp"
 #include "store/snapshot_store.hpp"
 #include "util/check.hpp"
@@ -21,26 +21,19 @@ const char* to_string(RecoveryRung rung) {
   return "?";
 }
 
-/// Rebuilds a live monitor from a verified columnar image by replaying the
-/// event columns through the delivered-order restore path — the same seam
-/// CTS1 restore and WAL-tail replay use (MonitoringEntity befriends this).
-struct ColumnarRestorer {
-  static std::unique_ptr<MonitoringEntity> restore(
-      const MappedSnapshot& snap) {
-    const ColumnarManifest& m = snap.manifest();
-    auto monitor = std::make_unique<MonitoringEntity>(
-        static_cast<std::size_t>(m.process_count), m.options);
-    for (std::uint64_t i = 0; i < m.event_count; ++i) {
-      monitor->replay_delivered(snap.event(i));
-    }
-    monitor->finish_restore(m.health);
-    if (monitor->state_digest() != m.state_digest) {
-      throw ChecksumError(
-          "columnar replay diverged from the saved state digest");
-    }
-    return monitor;
+std::unique_ptr<MonitoringEntity> restore_columnar(
+    const MappedSnapshot& snap) {
+  const ColumnarManifest& m = snap.manifest();
+  auto monitor = std::make_unique<MonitoringEntity>(
+      static_cast<std::size_t>(m.process_count), m.options);
+  snap.for_each_event(
+      [&monitor](const Event& e) { monitor->replay_delivered(e); });
+  monitor->finish_restore(m.health);
+  if (monitor->state_digest() != m.state_digest) {
+    throw ChecksumError("columnar replay diverged from the saved state digest");
   }
-};
+  return monitor;
+}
 
 LadderRecovery recover_with_ladder(const StorageBackend& storage,
                                    std::size_t process_count,
@@ -49,81 +42,93 @@ LadderRecovery recover_with_ladder(const StorageBackend& storage,
   LadderRecovery out;
   SnapshotHealth& health = out.health;
   health.tmp_quarantined = list_columnar_tmps(storage, ns).size();
-
-  // ---- mapped rungs: CTC1 generations, newest first ----
-  auto generations = list_columnar(storage, ns);  // ascending
-  health.generations_seen = generations.size();
-  const std::uint64_t newest =
-      generations.empty() ? 0 : generations.back().first;
   auto reject = [&health](std::size_t* cause, const std::string& name,
                           const std::string& detail) {
     ++*cause;
     health.details.push_back(name + ": " + detail);
   };
-  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
-    const auto& [gen, name] = *it;
+
+  // One image through every step. `key` is what the object name promises:
+  // the generation of a `ctc-*` image, the covered WAL position of a
+  // `snap-*` checkpoint. True when the image restored `out.monitor`.
+  auto try_image = [&](const std::string& name, std::uint64_t key,
+                       bool checkpoint) {
     std::unique_ptr<MappedSnapshot> snap;
     try {
       snap = std::make_unique<MappedSnapshot>(read_cold(storage, name));
-      if (snap->manifest().generation != gen) {
+      const ColumnarManifest& m = snap->manifest();
+      const std::uint64_t claimed =
+          checkpoint ? m.wal_position : m.generation;
+      if (claimed != key) {
         reject(&health.rejected_name_mismatch, name,
-               "footer generation " +
-                   std::to_string(snap->manifest().generation) +
+               std::string(checkpoint ? "covered WAL position "
+                                      : "footer generation ") +
+                   std::to_string(claimed) +
                    " disagrees with the object name");
-        continue;
+        return false;
       }
-      snap->verify_blocks();
-      snap->verify_digests();
-      snap->verify_structure();
+      snap->verify();
     } catch (const ChecksumError& failure) {
       reject(&health.rejected_checksum, name, failure.what());
-      continue;
+      return false;
     } catch (const CheckFailure& failure) {
       reject(&health.rejected_structural, name, failure.what());
-      continue;
+      return false;
     }
     // Structurally sound and checksum-clean. The durable log must reach the
-    // position the image claims to cover (durability/recovery.hpp explains
-    // why a position gap is fatal).
+    // position the image claims to cover: an image past the log end would
+    // make recovery silently skip the records in between.
     const std::uint64_t seq = snap->manifest().wal_position;
     wal::WalScan scan = wal::scan_wal(storage, seq, ns);
     if (scan.segments_scanned > 0 && scan.log_end < seq) {
       reject(&health.rejected_position, name,
              "references WAL position " + std::to_string(seq) +
                  " past the durable log end " + std::to_string(scan.log_end));
-      continue;
+      return false;
     }
     std::unique_ptr<MonitoringEntity> monitor;
     try {
-      monitor = ColumnarRestorer::restore(*snap);
+      monitor = restore_columnar(*snap);
     } catch (const CheckFailure& failure) {
       // Replay threw or the rebuilt state's digest diverged: the image lied
       // about something the structural checks cannot see.
       reject(&health.rejected_replay, name, failure.what());
-      continue;
+      return false;
     }
     out.monitor = std::move(monitor);
-    out.rung =
-        gen == newest ? RecoveryRung::kMapped : RecoveryRung::kMappedPrior;
-    out.generation = gen;
     out.report.snapshot_object = name;
     out.report.snapshot_seq = seq;
     replay_wal_tail(scan, *out.monitor, out.report);
-    return out;
+    return true;
+  };
+
+  // ---- published generations, newest first ----
+  const auto generations = list_columnar(storage, ns);  // ascending
+  health.generations_seen = generations.size();
+  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
+    if (try_image(it->second, it->first, /*checkpoint=*/false)) {
+      out.rung = it == generations.rbegin() ? RecoveryRung::kMapped
+                                            : RecoveryRung::kMappedPrior;
+      out.generation = it->first;
+      return out;
+    }
   }
 
-  // ---- lower rungs: CTS1 checkpoint → full WAL replay → scratch ----
-  RecoveredMonitor rec =
-      recover_monitor(storage, process_count, options, ns);
-  out.monitor = std::move(rec.monitor);
-  out.report = std::move(rec.report);
-  if (!out.report.snapshot_object.empty()) {
-    out.rung = RecoveryRung::kSnapshot;
-  } else if (out.report.replayed > 0 || out.report.held > 0) {
-    out.rung = RecoveryRung::kWalReplay;
-  } else {
-    out.rung = RecoveryRung::kScratch;
+  // ---- checkpoint images, newest first ----
+  const auto checkpoints = list_checkpoints(storage, ns);  // ascending
+  for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
+    if (try_image(it->second, it->first, /*checkpoint=*/true)) {
+      out.rung = RecoveryRung::kSnapshot;
+      return out;
+    }
   }
+
+  // ---- full WAL replay, or scratch when nothing was logged ----
+  out.monitor = std::make_unique<MonitoringEntity>(process_count, options);
+  replay_wal_tail(wal::scan_wal(storage, 0, ns), *out.monitor, out.report);
+  out.rung = out.report.replayed > 0 || out.report.held > 0
+                 ? RecoveryRung::kWalReplay
+                 : RecoveryRung::kScratch;
   return out;
 }
 

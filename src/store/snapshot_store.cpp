@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "store/format.hpp"
+#include "durability/wal.hpp"
 
 namespace ct {
 namespace {
@@ -40,8 +40,7 @@ ColumnarPublishResult publish_columnar(StorageBackend& storage,
   // ---- prune: older generations beyond the retention window, stale tmps ----
   bool removed = false;
   auto published = list_columnar(storage, options.ns);  // ascending
-  const std::size_t keep = std::max<std::size_t>(options.retain_generations, 1);
-  while (published.size() > keep) {
+  while (published.size() > kRetainedImages) {
     storage.remove(published.front().second);
     published.erase(published.begin());
     ++out.generations_pruned;
@@ -73,6 +72,18 @@ std::vector<std::string> list_columnar_tmps(const StorageBackend& storage,
   std::vector<std::string> out;
   for (const std::string& name : storage.list()) {
     if (is_columnar_tmp_name(name, ns)) out.push_back(name);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
+    const StorageBackend& storage, const std::string& ns) {
+  std::vector<std::pair<std::uint64_t, std::string>> out;
+  for (const std::string& name : storage.list()) {
+    if (const auto seq = wal::parse_snapshot_name(name, ns)) {
+      out.emplace_back(*seq, name);
+    }
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -10,7 +10,8 @@
 //   sync    the tmp object            (bytes durable under the tmp name)
 //   rename  tmp -> <ns>ctc-<gen>.col  (the publication point)
 //   sync_dir                          (the rename itself durable)
-//   prune   older generations + stale tmps, sync_dir
+//   prune   generations past the newest kRetainedImages + stale tmps,
+//           sync_dir
 //
 // A crash before the rename leaves only a tmp object — quarantined by the
 // recovery ladder, never mistaken for a snapshot (format.hpp naming). A
@@ -26,15 +27,15 @@
 #include <utility>
 #include <vector>
 
+#include "durability/format.hpp"
 #include "durability/storage.hpp"
 #include "monitor/monitor.hpp"
 
 namespace ct {
 
 struct ColumnarPublishOptions {
-  std::string ns;                          ///< tenant namespace prefix
-  std::size_t block_bytes = 64 * 1024;     ///< CRC block grid
-  std::size_t retain_generations = 2;      ///< newest generations kept
+  std::string ns;                                 ///< tenant namespace prefix
+  std::size_t block_bytes = kColumnarBlockBytes;  ///< CRC block grid
 };
 
 struct ColumnarPublishResult {
@@ -62,5 +63,10 @@ std::vector<std::pair<std::uint64_t, std::string>> list_columnar(
 /// Leftover `<ns>ctc-*.col.tmp` objects (publications a crash cut short).
 std::vector<std::string> list_columnar_tmps(const StorageBackend& storage,
                                             const std::string& ns = "");
+
+/// Checkpoint images `<ns>snap-<seq>.cts` (DurableLog::checkpoint) of `ns`,
+/// ascending by the WAL position in their name.
+std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
+    const StorageBackend& storage, const std::string& ns = "");
 
 }  // namespace ct

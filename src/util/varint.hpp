@@ -1,8 +1,9 @@
 // LEB128-style variable-length integer codec.
 //
-// Used by the binary trace format, the compressed timestamp store, the CTS1
-// snapshot, and the durability WAL: event numbers and process ids are
-// overwhelmingly small, so most values fit one byte.
+// Used by the binary trace format, the compressed timestamp store, and the
+// durability WAL's record grammar (which CTC1 images store their events in):
+// event numbers and process ids are overwhelmingly small, so most values fit
+// one byte.
 //
 // Decoding is hardened against hostile input (docs/FAULT_MODEL.md §7): a
 // truncated, overlong (non-canonical), or >10-byte encoding is reported as a

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "model/event.hpp"
@@ -18,6 +17,7 @@
 #include "simcheck/generator.hpp"
 #include "simcheck/replay_io.hpp"
 #include "simcheck/schedule.hpp"
+#include "store/recovery_ladder.hpp"
 #include "util/check.hpp"
 
 #ifndef CT_SIMCHECK_CORPUS_DIR
@@ -225,6 +225,66 @@ std::uint64_t record_stream(const std::vector<Event>& stream,
   return monitor.state_digest();
 }
 
+// The record codec the WAL frames and the CTC1 event column share: every
+// field width round-trips, record boundaries are found without decoding,
+// and each malformed shape is refused.
+TEST(Wal, RecordCodecRoundTripsSkipsAndRefusesMalformedRecords) {
+  const std::vector<std::uint32_t> widths = {
+      0, 1, 127, 128, 16383, 16384, 2097151, 2097152, 1u << 28, 0xffffffffu};
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    for (std::size_t j = 0; j < widths.size(); j += 3) {
+      const std::uint32_t a = widths[i];
+      const std::uint32_t b = widths[j];
+      events.push_back(make(a, b, static_cast<EventKind>((i + j) % 4), {b, a}));
+    }
+  }
+  std::string column;
+  std::vector<std::size_t> starts;
+  for (const Event& e : events) {
+    starts.push_back(column.size());
+    wal::encode_record(column, e);
+  }
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    Event got;
+    ASSERT_TRUE(wal::decode_record(column, pos, got)) << "record " << i;
+    EXPECT_EQ(got, events[i]) << "record " << i;
+    for (std::size_t from = 0; from <= i; ++from) {
+      EXPECT_EQ(wal::skip_records(column, starts[from], i - from),
+                starts[i])
+          << "skip " << i - from << " from record " << from;
+    }
+  }
+  EXPECT_EQ(pos, column.size());
+  starts.push_back(column.size());
+  for (std::size_t to = 1; to < starts.size(); ++to) {
+    for (std::size_t from = 0; from < to; ++from) {
+      EXPECT_EQ(wal::skip_records_back(column, starts[to], to - from),
+                starts[from])
+          << "skip back " << to - from << " from boundary " << to;
+    }
+  }
+
+  auto refused = [](const std::string& bytes) {
+    std::size_t at = 0;
+    Event e;
+    return !wal::decode_record(bytes, at, e);
+  };
+  const std::string good = "\x01\x02\x01\x03\x04";
+  EXPECT_FALSE(refused(good));
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_TRUE(refused(good.substr(0, len))) << "truncated to " << len;
+  }
+  EXPECT_TRUE(refused(std::string("\x01\x02\x04\x03\x04")));  // kind 4
+  EXPECT_TRUE(refused(std::string("\x01\x02\x80\x03\x04")));  // kind 128
+  // A two-byte field ending in 0x00 is non-canonical, wherever it sits.
+  EXPECT_TRUE(refused(std::string("\x81\x00\x02\x01\x03\x04", 6)));
+  EXPECT_TRUE(refused(std::string("\x01\x02\x01\x03\x84\x00", 6)));
+  // 2^32 does not fit a 32-bit id.
+  EXPECT_TRUE(refused(std::string("\x80\x80\x80\x80\x10\x02\x01\x03\x04")));
+}
+
 TEST(Wal, CleanRecoveryIsBitIdentical) {
   const std::vector<Event> stream = small_stream(4, 12);
   SimulatedStorage sim;
@@ -234,7 +294,7 @@ TEST(Wal, CleanRecoveryIsBitIdentical) {
   const std::uint64_t want = record_stream(stream, 4, sim, wo);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_EQ(rec.report.recovered_seq, stream.size());
   EXPECT_EQ(rec.monitor->state_digest(), want);
@@ -258,7 +318,7 @@ TEST(Wal, LostSuffixRecoversTheSyncedPrefixExactly) {
 
   const auto img =
       sim.materialize({sim.op_count(), CrashFault::kLostSuffix, 3});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_EQ(rec.report.recovered_seq, synced);
   rec.monitor->note_wal_loss(total - rec.report.recovered_seq);
   EXPECT_EQ(rec.monitor->health().wal_lost, total - synced);
@@ -279,8 +339,9 @@ TEST(Wal, EveryRecordPolicyLosesAtMostTheInFlightRecord) {
   for (const std::size_t cut : sim.append_points()) {
     const auto img = sim.materialize({cut, CrashFault::kLostSuffix, 1});
     const auto perfect = sim.materialize({cut, CrashFault::kClean, 0});
-    const RecoveredMonitor got = recover_monitor(*img, 3, options_for(3));
-    const RecoveredMonitor want = recover_monitor(*perfect, 3, options_for(3));
+    const LadderRecovery got = recover_with_ladder(*img, 3, options_for(3));
+    const LadderRecovery want =
+        recover_with_ladder(*perfect, 3, options_for(3));
     EXPECT_LE(want.report.recovered_seq - got.report.recovered_seq, 1u)
         << "cut " << cut;
   }
@@ -296,7 +357,7 @@ TEST(Wal, TornFrameTruncatesAtFirstInvalidFrame) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto img =
         sim.materialize({sim.op_count() - 1, CrashFault::kTornWrite, seed});
-    const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+    const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
     EXPECT_TRUE(rec.monitor->health().accounted());
     EXPECT_LE(rec.report.recovered_seq, stream.size());
     saw_truncation = saw_truncation || rec.report.truncated;
@@ -322,7 +383,7 @@ TEST(Wal, BitRotIsDetectedAndTruncated) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto img =
         sim.materialize({sim.op_count(), CrashFault::kBitRot, seed});
-    const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+    const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
     EXPECT_TRUE(rec.monitor->health().accounted());
     EXPECT_TRUE(rec.report.truncated) << "seed " << seed;
   }
@@ -343,7 +404,7 @@ TEST(Wal, RotationChainsSegmentsAndRecoversAcrossThem) {
   EXPECT_GT(segments, 3u);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_EQ(rec.monitor->state_digest(), want);
   EXPECT_EQ(rec.report.segments_scanned, segments);
@@ -365,7 +426,7 @@ TEST(Wal, MissingMiddleSegmentStopsPrefixConsistent) {
   sim.remove(segments[1]);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_TRUE(rec.report.truncated);
   EXPECT_NE(rec.report.truncate_detail.find("gap"), std::string::npos)
       << rec.report.truncate_detail;
@@ -389,7 +450,7 @@ TEST(Wal, HeaderlessLastSegmentIsAnEmptyTailAndIsReopened) {
   std::size_t headerless = 0;
   for (const std::size_t cut : sim.namespace_points()) {
     const auto img = sim.materialize({cut, CrashFault::kClean, 0});
-    const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+    const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
     ASSERT_FALSE(rec.report.truncated)
         << "cut " << cut << ": " << rec.report.truncate_detail;
     EXPECT_TRUE(rec.monitor->health().accounted());
@@ -412,7 +473,8 @@ TEST(Wal, HeaderlessLastSegmentIsAnEmptyTailAndIsReopened) {
           img->read(name), *wal::parse_segment_name(name)))
           << name << " left header-less at cut " << cut;
     }
-    const RecoveredMonitor again = recover_monitor(*img, 4, options_for(4));
+    const LadderRecovery again =
+        recover_with_ladder(*img, 4, options_for(4));
     EXPECT_FALSE(again.report.truncated) << again.report.truncate_detail;
     EXPECT_EQ(again.report.recovered_seq, stream.size()) << "cut " << cut;
   }
@@ -437,7 +499,7 @@ TEST(Wal, HeaderlessMiddleSegmentStillStopsAtTheGapAfterIt) {
   sim.create(segments[1]);  // truncates: its records are gone
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_TRUE(rec.report.truncated);
   EXPECT_NE(rec.report.truncate_detail.find("gap"), std::string::npos)
       << rec.report.truncate_detail;
@@ -451,7 +513,6 @@ TEST(Wal, CheckpointPrunesCoveredSegmentsAndStaleSnapshots) {
   WalOptions wo;
   wo.policy = SyncPolicy::kOnCheckpoint;
   wo.segment_bytes = 256;
-  wo.retain_checkpoints = 2;
   const std::uint64_t want = record_stream(stream, 4, sim, wo, 50);
 
   std::size_t snapshots = 0, segments = 0;
@@ -466,7 +527,7 @@ TEST(Wal, CheckpointPrunesCoveredSegmentsAndStaleSnapshots) {
   EXPECT_LT(segments, 12u);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_FALSE(rec.report.snapshot_object.empty());
   EXPECT_GT(rec.report.snapshot_seq, 0u);
@@ -479,10 +540,9 @@ TEST(Wal, CorruptSnapshotFallsBackToOlderOrScratch) {
   WalOptions wo;
   wo.policy = SyncPolicy::kEveryN;
   wo.sync_every = 4;
-  wo.retain_checkpoints = 2;
   const std::uint64_t want = record_stream(stream, 4, sim, wo, 40);
 
-  // Mangle the newest snapshot: its CRC trailer must reject it whole.
+  // Mangle the newest checkpoint: its block CRCs must reject it whole.
   std::string newest;
   for (const std::string& name : sim.list()) {
     if (wal::parse_snapshot_name(name)) newest = name;  // list is sorted
@@ -496,8 +556,8 @@ TEST(Wal, CorruptSnapshotFallsBackToOlderOrScratch) {
   sim.append(newest, mangled);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
-  EXPECT_EQ(rec.report.snapshots_rejected, 1u);
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
+  EXPECT_EQ(rec.health.total_rejected(), 1u);
   EXPECT_EQ(rec.monitor->state_digest(), want);
 }
 
@@ -516,7 +576,7 @@ TEST(Wal, FileStorageRoundTripsOnRealFiles) {
   for (const Event& e : stream) monitor.ingest(e);
   log.checkpoint(monitor);
 
-  const RecoveredMonitor rec = recover_monitor(files, 3, options_for(3));
+  const LadderRecovery rec = recover_with_ladder(files, 3, options_for(3));
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_EQ(rec.monitor->state_digest(), monitor.state_digest());
   for (const std::string& name : files.list()) files.remove(name);
@@ -574,7 +634,7 @@ TEST(Recovery, RefeedingTheOverlappingTailConvergesAcrossStrategies) {
     }
     const auto img =
         sim.materialize({sim.op_count(), CrashFault::kLostSuffix, 9});
-    RecoveredMonitor rec = recover_monitor(*img, pc, s.options);
+    LadderRecovery rec = recover_with_ladder(*img, pc, s.options);
     EXPECT_TRUE(rec.monitor->health().accounted());
 
     // Re-feed with overlap: from well before the crash point through the
@@ -606,7 +666,7 @@ TEST(Recovery, RecoverRefeedRecoverIsIdempotent) {
   }
   // First crash + recovery, resume logging, feed the rest, crash again.
   auto img1 = sim.materialize({sim.op_count(), CrashFault::kLostSuffix, 1});
-  RecoveredMonitor rec1 = recover_monitor(*img1, 5, options_for(5));
+  LadderRecovery rec1 = recover_with_ladder(*img1, 5, options_for(5));
   {
     DurableLog log(*img1, wo, rec1.report.recovered_seq);
     rec1.monitor->set_delivery_tap(
@@ -618,7 +678,7 @@ TEST(Recovery, RecoverRefeedRecoverIsIdempotent) {
   }
   const auto img2 =
       img1->materialize({img1->op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec2 = recover_monitor(*img2, 5, options_for(5));
+  const LadderRecovery rec2 = recover_with_ladder(*img2, 5, options_for(5));
   EXPECT_FALSE(rec2.report.truncated) << rec2.report.truncate_detail;
 
   MonitoringEntity reference(5, options_for(5));

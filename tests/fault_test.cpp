@@ -1,21 +1,25 @@
 // Fault-tolerant ingestion tests (docs/FAULT_MODEL.md): the seeded fault
 // injector, quarantine/eviction accounting under drop/dup/reorder/corrupt
 // faults on every trace family of the standard suite, and checkpoint/
-// restore round-trips through the CTS1 snapshot format.
+// restore round-trips through the events-only CTC1 checkpoint image.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "durability/format.hpp"
+#include "durability/storage.hpp"
+#include "durability/wal.hpp"
 #include "model/event.hpp"
 #include "monitor/fault_injector.hpp"
 #include "monitor/monitor.hpp"
+#include "store/mapped_view.hpp"
+#include "store/recovery_ladder.hpp"
 #include "timestamp/fm_store.hpp"
 #include "trace/generators.hpp"
-#include "trace/snapshot.hpp"
 #include "trace/suite.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -212,6 +216,24 @@ TEST(FaultTolerance, CorruptionWithBoundedBufferStaysAccounted) {
 
 // ------------------------------------------------------ checkpoint/restore
 
+/// The image DurableLog::checkpoint writes for `monitor`: events only.
+std::string checkpoint_image(const MonitoringEntity& monitor) {
+  return encode_columnar(monitor, /*generation=*/0, kColumnarBlockBytes,
+                         /*with_arena=*/false);
+}
+
+/// Restores through the recovery ladder's verify-and-restore steps; throws
+/// CheckFailure wherever the ladder would reject the image.
+std::unique_ptr<MonitoringEntity> restore_image(ColdBytes bytes) {
+  const MappedSnapshot snap(std::move(bytes));
+  snap.verify();
+  return restore_columnar(snap);
+}
+
+std::unique_ptr<MonitoringEntity> restore_image(std::string bytes) {
+  return restore_image(ColdBytes::from_string(std::move(bytes)));
+}
+
 void round_trip_backend(TimestampBackend backend) {
   const Trace t = suite_entry("java/pubsub-84").make();
   const auto arrival = interleave(t, 31);
@@ -226,10 +248,7 @@ void round_trip_backend(TimestampBackend backend) {
   ASSERT_GT(original.pending(), 0u)
       << "cut landed on a quiescent point; pick another seed";
 
-  std::ostringstream os;
-  save_snapshot(os, original);
-  std::istringstream is(os.str());
-  auto restored = load_snapshot(is);
+  auto restored = restore_image(checkpoint_image(original));
   ASSERT_EQ(restored->stored(), original.stored());
   ASSERT_EQ(restored->state_digest(), original.state_digest());
   ASSERT_EQ(restored->timestamp_words(), original.timestamp_words());
@@ -263,7 +282,7 @@ void round_trip_backend(TimestampBackend backend) {
     EXPECT_EQ(got.error, want.error) << partner;
   }
 
-  // Buffered-at-cut records are not in the snapshot: replay the stream with
+  // Buffered-at-cut records are not in the image: replay the stream with
   // overlap — already-delivered records drop as duplicates — then the tail.
   for (std::size_t i = 0; i < cut; ++i) restored->ingest(arrival[i]);
   for (std::size_t i = cut; i < arrival.size(); ++i) {
@@ -302,21 +321,31 @@ TEST(Snapshot, FileRoundTripAndPathInErrors) {
   options.cluster.max_cluster_size = 6;
   options.cluster.fm_vector_width = 300;
   MonitoringEntity monitor(t.process_count(), options);
-  for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
-
-  const std::string path = "fault_test_snapshot.cts";
-  save_snapshot(path, monitor);
-  auto restored = load_snapshot(path);
+  const std::string root =
+      ::testing::TempDir() + "fault_test_snapshot_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  FileStorage files(root);
+  {
+    WalOptions wo;
+    wo.policy = SyncPolicy::kOnCheckpoint;
+    DurableLog log(files, wo);
+    monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
+    for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
+    log.checkpoint(monitor);
+    monitor.set_delivery_tap(nullptr);
+  }
+  const std::string name = wal::snapshot_object_name(monitor.stored());
+  auto restored = restore_image(read_cold(files, name));
   EXPECT_EQ(restored->state_digest(), monitor.state_digest());
-  std::remove(path.c_str());
 
   try {
-    (void)load_snapshot("does-not-exist.cts");
+    (void)read_cold(files, "does-not-exist.cts");
     FAIL() << "expected CheckFailure";
   } catch (const CheckFailure& f) {
     EXPECT_NE(std::string(f.what()).find("does-not-exist.cts"),
               std::string::npos);
   }
+  std::filesystem::remove_all(root);
 }
 
 TEST(Snapshot, CorruptSnapshotsAreRejectedNotCrashing) {
@@ -327,16 +356,15 @@ TEST(Snapshot, CorruptSnapshotsAreRejectedNotCrashing) {
   MonitoringEntity monitor(t.process_count(), options);
   for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
 
-  std::ostringstream os;
-  save_snapshot(os, monitor);
-  const std::string good = os.str();
+  const std::string good = checkpoint_image(monitor);
 
-  // Bad magic and unsupported version.
-  for (const std::size_t at : {std::size_t{0}, std::size_t{4}}) {
+  // Bad magic and unsupported version (the footer's first byte).
+  const auto version_at =
+      static_cast<std::size_t>(parse_columnar_manifest(good).footer_offset);
+  for (const std::size_t at : {std::size_t{0}, version_at}) {
     std::string bad = good;
     bad[at] = static_cast<char>(bad[at] + 1);
-    std::istringstream in(bad);
-    EXPECT_THROW((void)load_snapshot(in), CheckFailure);
+    EXPECT_THROW((void)restore_image(bad), CheckFailure);
   }
   // Random mutations: restore either succeeds bit-identically (mutation in
   // a dead byte is impossible here — digest covers the state) or throws.
@@ -347,9 +375,8 @@ TEST(Snapshot, CorruptSnapshotsAreRejectedNotCrashing) {
     const std::size_t at = 5 + rng.index(bad.size() - 5);
     bad[at] = static_cast<char>(rng.uniform(0, 255));
     if (bad == good) continue;
-    std::istringstream in(bad);
     try {
-      auto restored = load_snapshot(in);
+      auto restored = restore_image(bad);
       EXPECT_EQ(restored->state_digest(), monitor.state_digest());
     } catch (const CheckFailure&) {
       ++rejected;
@@ -358,13 +385,14 @@ TEST(Snapshot, CorruptSnapshotsAreRejectedNotCrashing) {
   EXPECT_GT(rejected, 20u);
   // Truncations.
   for (const double frac : {0.1, 0.5, 0.9}) {
-    std::istringstream in(good.substr(
-        0, static_cast<std::size_t>(static_cast<double>(good.size()) * frac)));
-    EXPECT_THROW((void)load_snapshot(in), CheckFailure);
+    EXPECT_THROW((void)restore_image(good.substr(
+                     0, static_cast<std::size_t>(
+                            static_cast<double>(good.size()) * frac))),
+                 CheckFailure);
   }
 }
 
-// Exhaustive truncation sweep: a CTS1 snapshot cut at *any* byte boundary
+// Exhaustive truncation sweep: a checkpoint image cut at *any* byte boundary
 // must be rejected with a CheckFailure — never crash, hang, or silently
 // restore a partial monitor.
 TEST(Snapshot, EveryTruncationLengthIsRejected) {
@@ -380,24 +408,20 @@ TEST(Snapshot, EveryTruncationLengthIsRejected) {
   MonitoringEntity monitor(t.process_count(), options);
   for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
 
-  std::ostringstream os;
-  save_snapshot(os, monitor);
-  const std::string good = os.str();
+  const std::string good = checkpoint_image(monitor);
   ASSERT_GT(good.size(), 16u);
 
   for (std::size_t len = 0; len < good.size(); ++len) {
-    std::istringstream in(good.substr(0, len));
     try {
-      (void)load_snapshot(in);
+      (void)restore_image(good.substr(0, len));
       FAIL() << "truncation to " << len << " of " << good.size()
              << " bytes restored successfully";
     } catch (const CheckFailure&) {
       // Expected: a clear, typed rejection.
     }
   }
-  // The untruncated snapshot still restores.
-  std::istringstream in(good);
-  EXPECT_EQ(load_snapshot(in)->state_digest(), monitor.state_digest());
+  // The untruncated image still restores.
+  EXPECT_EQ(restore_image(good)->state_digest(), monitor.state_digest());
 }
 
 // Multi-byte corruption: clusters of flipped bytes (as from a torn or
@@ -412,9 +436,7 @@ TEST(Snapshot, MultiByteCorruptionNeverSilentlyAccepted) {
   MonitoringEntity monitor(t.process_count(), options);
   for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
 
-  std::ostringstream os;
-  save_snapshot(os, monitor);
-  const std::string good = os.str();
+  const std::string good = checkpoint_image(monitor);
 
   Prng rng(113);
   std::size_t rejected = 0;
@@ -430,9 +452,8 @@ TEST(Snapshot, MultiByteCorruptionNeverSilentlyAccepted) {
       ++at;
     }
     if (bad == good) continue;
-    std::istringstream in(bad);
     try {
-      auto restored = load_snapshot(in);
+      auto restored = restore_image(bad);
       EXPECT_EQ(restored->state_digest(), monitor.state_digest())
           << "round " << round << " restored a different monitor";
     } catch (const CheckFailure&) {

@@ -8,12 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "cluster/comm_matrix.hpp"
 #include "core/migrating_engine.hpp"
-#include "durability/recovery.hpp"
+#include "durability/format.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "model/event.hpp"
@@ -23,8 +22,9 @@
 #include "shard/shard_router.hpp"
 #include "simcheck/crash_sweep.hpp"
 #include "simcheck/generator.hpp"
+#include "store/mapped_view.hpp"
+#include "store/recovery_ladder.hpp"
 #include "timestamp/ondemand_fm.hpp"
-#include "trace/snapshot.hpp"
 #include "util/check.hpp"
 
 namespace ct {
@@ -391,7 +391,7 @@ TEST(Recovery, CommittedMigrationIsReappliedUncommittedDiscarded) {
     log.sync();
 
     const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 1});
-    RecoveredMonitor rec = recover_monitor(*img, 6, mo);
+    LadderRecovery rec = recover_with_ladder(*img, 6, mo);
     EXPECT_EQ(rec.report.migrations_applied, 1u);
     if (second == MigrationOutcome::kRolledBack) {
       EXPECT_EQ(rec.report.migrations_discarded, 1u);
@@ -428,7 +428,7 @@ TEST(Recovery, CrashBeforeCommitRestoresOldClustering) {
   // as it stood before the cycle's commit sync. Recovery must restore the
   // pre-migration clustering exactly — never a hybrid.
   const auto img = sim.materialize({before_commit, CrashFault::kClean, 1});
-  RecoveredMonitor rec = recover_monitor(*img, 6, mo);
+  LadderRecovery rec = recover_with_ladder(*img, 6, mo);
   EXPECT_EQ(rec.report.migrations_applied, 0u);
   EXPECT_EQ(rec.monitor->migration_epoch(), 0u);
   EXPECT_TRUE(rec.monitor->preset_partition().empty());
@@ -436,7 +436,7 @@ TEST(Recovery, CrashBeforeCommitRestoresOldClustering) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot v3
+// Checkpoint images carry the committed clustering
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotV3, RoundTripsAMigratedMonitor) {
@@ -445,11 +445,14 @@ TEST(SnapshotV3, RoundTripsAMigratedMonitor) {
   MigrationCoordinator coordinator(monitor, eager_config());
   ASSERT_EQ(coordinator.run_cycle(), MigrationOutcome::kCommitted);
 
-  std::stringstream buffer;
-  save_snapshot(buffer, monitor);
-  SnapshotMeta meta;
-  auto restored = load_snapshot(buffer, &meta);
-  EXPECT_EQ(meta.version, 3u);
+  // The options block of the checkpoint image bakes the migration in, so
+  // restore rebuilds the engine in hybrid mode before replaying.
+  const MappedSnapshot image(ColdBytes::from_string(encode_columnar(
+      monitor, /*generation=*/0, kColumnarBlockBytes, /*with_arena=*/false)));
+  image.verify();
+  EXPECT_EQ(image.manifest().options.migration_epoch,
+            monitor.migration_epoch());
+  auto restored = restore_columnar(image);
   EXPECT_EQ(restored->migration_epoch(), monitor.migration_epoch());
   EXPECT_EQ(restored->preset_partition(), monitor.preset_partition());
   expect_answer_identity(*restored);
@@ -596,8 +599,8 @@ TEST(ShardMigration, RidesEpochBoundaryAndKeepsAnswersExact) {
   // re-applies it.
   const auto img =
       storage.materialize({storage.op_count(), CrashFault::kClean, 1});
-  RecoveredMonitor rec =
-      recover_monitor(*img, 6, tc.monitor, wal::tenant_namespace(t));
+  LadderRecovery rec =
+      recover_with_ladder(*img, 6, tc.monitor, wal::tenant_namespace(t));
   EXPECT_EQ(rec.monitor->migration_epoch(), 1u);
   EXPECT_EQ(rec.monitor->preset_partition(),
             router.shard_monitor(t, 0).preset_partition());

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "model/oracle.hpp"
 #include "monitor/queries.hpp"
@@ -19,6 +18,7 @@
 #include "shard/shard_fault.hpp"
 #include "shard/shard_router.hpp"
 #include "simcheck/generator.hpp"
+#include "store/recovery_ladder.hpp"
 #include "trace/generators.hpp"
 #include "util/prng.hpp"
 
@@ -562,9 +562,9 @@ TEST(ShardRouter, PerTenantWalNamespacesRecoverIndependently) {
     MonitorOptions mo;
     mo.cluster.max_cluster_size = 4;
     mo.cluster.fm_vector_width = t.process_count();
-    const RecoveredMonitor rec =
-        recover_monitor(storage, t.process_count(), mo,
-                        wal::tenant_namespace(t_id));
+    const LadderRecovery rec =
+        recover_with_ladder(storage, t.process_count(), mo,
+                            wal::tenant_namespace(t_id));
     EXPECT_EQ(rec.monitor->delivery_log().size(),
               t.delivery_order().size());
   }

@@ -1,9 +1,10 @@
 // Out-of-core columnar snapshot store tests (docs/FAULT_MODEL.md §10): CTC1
 // encode/parse roundtrips, mapped-view answer identity against the live
-// engine, the atomic-rename publication protocol under stale-rename crashes,
-// the recovery ladder's rung-by-rung behavior and rejection accounting
-// across clustering strategies, exhaustive footer bit-flip detection, the
-// seeded whole-image corruption fuzz, and the columnar crash-sweep smoke.
+// engine and its operand checks, the atomic-rename publication protocol
+// under stale-rename crashes, the recovery ladder's rung-by-rung behavior
+// and rejection accounting across clustering strategies (removed formats
+// included), exhaustive footer bit-flip detection, the seeded whole-image
+// corruption fuzz, and the columnar crash-sweep smoke.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "durability/recovery.hpp"
+#include "durability/format.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "model/event.hpp"
@@ -19,11 +20,11 @@
 #include "simcheck/crash_sweep.hpp"
 #include "simcheck/generator.hpp"
 #include "simcheck/schedule.hpp"
-#include "store/format.hpp"
 #include "store/mapped_view.hpp"
 #include "store/recovery_ladder.hpp"
 #include "store/snapshot_store.hpp"
 #include "util/check.hpp"
+#include "util/crc32c.hpp"
 #include "util/prng.hpp"
 
 namespace ct {
@@ -148,6 +149,42 @@ TEST(ColumnarFormat, MappedPrecedenceMatchesTheLiveEngine) {
   }
 }
 
+TEST(ColumnarFormat, EventRunsIndexRecordBoundaries) {
+  // Several runs of kEventRunRecords records, the last one partial.
+  const std::vector<Event> stream = small_stream(7, 100);
+  ASSERT_GT(stream.size(), 2 * kEventRunRecords);
+  const auto monitor = fed_monitor(strategies(7)[2].options, 7, stream);
+  const std::string image =
+      encode_columnar(*monitor, 0, kColumnarBlockBytes, /*with_arena=*/false);
+  const ColumnarManifest m = parse_columnar_manifest(image);
+  EXPECT_FALSE(m.has_arena);
+  ASSERT_EQ(m.columns.size(), kEventColumnCount);
+  const ColumnInfo* runs = m.column(ColumnId::kEvRunOffsets);
+  ASSERT_NE(runs, nullptr);
+  EXPECT_EQ(runs->element_count,
+            (m.event_count + kEventRunRecords - 1) / kEventRunRecords);
+
+  MappedSnapshot snap(ColdBytes::from_string(image));
+  snap.verify();
+  const auto log = monitor->delivery_log();
+  for (std::uint64_t i = 0; i < m.event_count; ++i) {
+    EXPECT_EQ(snap.event(i), monitor->event(log[i])) << "event " << i;
+  }
+
+  // A run offset one byte into its record: only the structure tier sees it.
+  std::string bad = image;
+  const auto entry = static_cast<std::size_t>(runs->offset) + 8;
+  bad[entry] = static_cast<char>(bad[entry] + 1);
+  MappedSnapshot shifted(ColdBytes::from_string(bad));
+  try {
+    shifted.verify_structure();
+    FAIL() << "a misplaced run offset passed verify_structure";
+  } catch (const CheckFailure& f) {
+    EXPECT_NE(std::string(f.what()).find("run 1"), std::string::npos)
+        << f.what();
+  }
+}
+
 TEST(ColumnarFormat, NamingRoundTripsAndRejectsForeignNames) {
   EXPECT_EQ(columnar_object_name(12), "ctc-12.col");
   EXPECT_EQ(columnar_tmp_name(12, "tenant-3."), "tenant-3.ctc-12.col.tmp");
@@ -225,17 +262,14 @@ TEST(ColumnarPublish, PublishesPrunesAndQuarantinesTmps) {
   const std::vector<Event> stream = small_stream(4, 10);
   const auto monitor = fed_monitor(strategies(4)[2].options, 4, stream);
   SimulatedStorage sim;
-  ColumnarPublishOptions copts;
-  copts.retain_generations = 2;
   for (std::uint64_t g = 1; g <= 4; ++g) {
-    const ColumnarPublishResult r =
-        publish_columnar(sim, *monitor, g, copts);
+    const ColumnarPublishResult r = publish_columnar(sim, *monitor, g);
     EXPECT_EQ(r.generation, g);
     EXPECT_EQ(r.object, columnar_object_name(g));
     EXPECT_EQ(r.wal_position, monitor->delivery_log().size());
   }
   const auto gens = list_columnar(sim);
-  ASSERT_EQ(gens.size(), 2u);  // retention window
+  ASSERT_EQ(gens.size(), kRetainedImages);
   EXPECT_EQ(gens[0].first, 3u);
   EXPECT_EQ(gens[1].first, 4u);
   EXPECT_TRUE(list_columnar_tmps(sim).empty());
@@ -247,7 +281,7 @@ TEST(ColumnarPublish, PublishesPrunesAndQuarantinesTmps) {
   EXPECT_EQ(list_columnar_tmps(sim).size(), 1u);
   const LadderRecovery rec = recover_with_ladder(sim, 4, MonitorOptions{});
   EXPECT_EQ(rec.health.tmp_quarantined, 1u);
-  publish_columnar(sim, *monitor, 5, copts);
+  publish_columnar(sim, *monitor, 5);
   EXPECT_TRUE(list_columnar_tmps(sim).empty());
 }
 
@@ -344,7 +378,7 @@ TEST(RecoveryLadder, EveryRungRecoversIdenticallyAcrossStrategies) {
       expect_identical(*rec.monitor, *rig.reference);
     }
 
-    // ---- rung 3: no columnar generations → CTS1 checkpoint ----
+    // ---- rung 3: no columnar generations → checkpoint image ----
     {
       for (const auto& [gen, name] : list_columnar(rig.sim)) {
         (void)gen;
@@ -357,7 +391,7 @@ TEST(RecoveryLadder, EveryRungRecoversIdenticallyAcrossStrategies) {
       expect_identical(*rec.monitor, *rig.reference);
     }
 
-    // ---- rung 4: no snapshots of either format → full WAL replay ----
+    // ---- rung 4: no images of either family → full WAL replay ----
     {
       for (const std::string& name : rig.sim.list()) {
         if (wal::parse_snapshot_name(name).has_value()) {
@@ -442,6 +476,64 @@ TEST(RecoveryLadder, RejectionCausesAreCountedSeparately) {
   }
 }
 
+TEST(RecoveryLadder, RemovedFormatsUnderCheckpointNamesAreRefusedByName) {
+  const std::vector<Event> stream = small_stream(5, 10);
+  const MonitorOptions mo = strategies(5)[2].options;
+  LadderRig rig = run_rig(mo, stream);
+  for (const auto& [gen, name] : list_columnar(rig.sim)) {
+    (void)gen;
+    rig.sim.remove(name);
+  }
+  const auto real = list_checkpoints(rig.sim);
+  ASSERT_EQ(real.size(), 1u);
+
+  // A CTS1 object and a version-1 CTC1 image, each newer than the real
+  // checkpoint. The v1 image is a current image relabelled version 1, its
+  // footer CRC redone: the version check refuses it before any column.
+  const std::string cts1_name = wal::snapshot_object_name(stream.size());
+  const std::string v1_name = wal::snapshot_object_name(stream.size() + 1);
+  std::string v1 = encode_columnar(*rig.reference, 0, kColumnarBlockBytes,
+                                   /*with_arena=*/false);
+  const auto footer = static_cast<std::size_t>(
+      parse_columnar_manifest(v1).footer_offset);
+  v1[footer] = 1;
+  const std::uint32_t crc = crc32c(std::string_view(v1).substr(
+      footer, v1.size() - kColumnarTrailerBytes - footer));
+  for (std::size_t b = 0; b < 4; ++b) {
+    v1[v1.size() - 8 + b] = static_cast<char>((crc >> (8 * b)) & 0xff);
+  }
+  rig.sim.create(cts1_name);
+  rig.sim.append(cts1_name, std::string("CTS1\x03", 5) + "old snapshot");
+  rig.sim.create(v1_name);
+  rig.sim.append(v1_name, v1);
+
+  auto expect_refused = [&](const LadderRecovery& rec) {
+    EXPECT_EQ(rec.health.rejected_structural, 2u);
+    EXPECT_EQ(rec.health.total_rejected(), 2u);
+    ASSERT_EQ(rec.health.details.size(), 2u);
+    // Newest first: the v1 image, then the CTS1 object.
+    EXPECT_NE(rec.health.details[0].find(v1_name), std::string::npos);
+    EXPECT_NE(rec.health.details[0].find("version 1"), std::string::npos)
+        << rec.health.details[0];
+    EXPECT_NE(rec.health.details[1].find(cts1_name), std::string::npos);
+    EXPECT_NE(rec.health.details[1].find("CTS1"), std::string::npos)
+        << rec.health.details[1];
+    expect_identical(*rec.monitor, *rig.reference);
+  };
+  {
+    const LadderRecovery rec = recover_with_ladder(rig.sim, 5, mo);
+    EXPECT_EQ(rec.rung, RecoveryRung::kSnapshot) << to_string(rec.rung);
+    EXPECT_EQ(rec.report.snapshot_object, real[0].second);
+    expect_refused(rec);
+  }
+  rig.sim.remove(real[0].second);
+  {
+    const LadderRecovery rec = recover_with_ladder(rig.sim, 5, mo);
+    EXPECT_EQ(rec.rung, RecoveryRung::kWalReplay) << to_string(rec.rung);
+    expect_refused(rec);
+  }
+}
+
 TEST(Recovery, WalGapAttestationAcceptsSnapshotAtPrunedLogHead) {
   // After checkpoint pruning, the newest segment may be empty: its header's
   // first_record_seq attests the log reached the snapshot position, so the
@@ -452,20 +544,17 @@ TEST(Recovery, WalGapAttestationAcceptsSnapshotAtPrunedLogHead) {
   WalOptions wo;
   wo.policy = SyncPolicy::kEveryRecord;
   wo.segment_bytes = 512;  // force rotation so pruning has prey
-  wo.retain_checkpoints = 1;
   MonitoringEntity monitor(4, mo);
   DurableLog log(sim, wo);
   monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
   for (const Event& e : stream) monitor.ingest(e);
   log.checkpoint(monitor);  // prunes covered segments
-  const RecoveredMonitor rec = recover_monitor(sim, 4, mo);
-  EXPECT_EQ(rec.report.snapshots_rejected_position, 0u);
+  const LadderRecovery rec = recover_with_ladder(sim, 4, mo);
+  EXPECT_EQ(rec.health.rejected_position, 0u);
+  EXPECT_EQ(rec.health.total_rejected(), 0u);
+  EXPECT_EQ(rec.rung, RecoveryRung::kSnapshot) << to_string(rec.rung);
   EXPECT_FALSE(rec.report.snapshot_object.empty());
   EXPECT_EQ(rec.monitor->state_digest(), monitor.state_digest());
-  // The cause counters partition the total.
-  EXPECT_EQ(rec.report.snapshots_rejected,
-            rec.report.snapshots_rejected_structural +
-                rec.report.snapshots_rejected_position);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,20 +680,51 @@ TEST(ColumnarSweep, GeneratedSchedulesRecoverOnMappedRungs) {
   }
 }
 
-TEST(ColumnarSweep, TurningTheStoreOffRestoresTheLegacySweep) {
+TEST(ColumnarSweep, TurningTheStoreOffRecoversFromCheckpointImages) {
   CrashSweepParams params;
   params.columnar_store = false;
-  const SimSchedule schedule = generate_schedule(13);
+  // Seed 16's schedule checkpoints (seed 13's does not).
+  const SimSchedule schedule = generate_schedule(16);
   const CrashSweepReport report = run_crash_sweep(schedule, params);
   ASSERT_TRUE(report.ok())
       << report.divergence->config << ": " << report.divergence->detail;
   EXPECT_EQ(report.generations_published, 0u);
   EXPECT_EQ(report.ladder_mapped, 0u);
+  EXPECT_GT(report.ladder_snapshot, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Mapped cold path on real files
 // ---------------------------------------------------------------------------
+
+TEST(MappedView, PrecedesChecksItsOperandsInReleaseBuilds) {
+  const std::vector<Event> stream = small_stream(5, 10);
+  const auto monitor = fed_monitor(strategies(5)[2].options, 5, stream);
+  const Event e = monitor->event(monitor->delivery_log().front());
+  const Event f = monitor->event(monitor->delivery_log().back());
+
+  // An events-only image has no arena to answer from.
+  const MappedSnapshot events_only(ColdBytes::from_string(encode_columnar(
+      *monitor, 1, kColumnarBlockBytes, /*with_arena=*/false)));
+  EXPECT_THROW((void)events_only.precedes(e, f), CheckFailure);
+  EXPECT_THROW((void)events_only.precedes(e, e), CheckFailure);
+
+  // An arena image refuses events outside its delivered prefix.
+  const MappedSnapshot arena(
+      ColdBytes::from_string(encode_columnar(*monitor, 1)));
+  ASSERT_TRUE(arena.has_arena());
+  EXPECT_NO_THROW((void)arena.precedes(e, f));
+  Event past = f;
+  past.id.index = monitor->delivered_count(f.id.process) + 1;
+  Event zero = f;
+  zero.id.index = 0;
+  Event foreign = f;
+  foreign.id.process = 5;
+  for (const Event& bad : {past, zero, foreign}) {
+    EXPECT_THROW((void)arena.precedes(e, bad), CheckFailure) << bad.id;
+  }
+  EXPECT_THROW((void)arena.precedes(foreign, f), CheckFailure);
+}
 
 TEST(MappedView, FileStorageServesQueriesThroughMmap) {
   const std::vector<Event> stream = small_stream(5, 10);

@@ -9,10 +9,10 @@
 #include <string>
 #include <vector>
 
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "monitor/monitor.hpp"
+#include "store/recovery_ladder.hpp"
 #include "trace/generators.hpp"
 #include "util/prng.hpp"
 
@@ -160,8 +160,8 @@ Baseline solo_baseline(const Trace& tb, const std::string& ns) {
   for (const EventId id : tb.delivery_order()) b.monitor->ingest(tb.event(id));
   b.log->checkpoint(*b.monitor);
   b.log->sync();
-  const RecoveredMonitor rec =
-      recover_monitor(storage, tb.process_count(), tenant_options(tb), ns);
+  const LadderRecovery rec =
+      recover_with_ladder(storage, tb.process_count(), tenant_options(tb), ns);
   Baseline out;
   const auto log = rec.monitor->delivery_log();
   out.delivery.assign(log.begin(), log.end());
@@ -224,23 +224,23 @@ TEST(WalNamespace, SiblingRecoveryIsByteIdenticalUnderEveryDamageShape) {
     // Tenant B's recovery must not notice: same delivered log, same state
     // digest, no rejected snapshots, no truncation — byte-identical to the
     // solo run.
-    const RecoveredMonitor rec =
-        recover_monitor(storage, tb.process_count(), tenant_options(tb),
-                        ns_b);
+    const LadderRecovery rec =
+        recover_with_ladder(storage, tb.process_count(), tenant_options(tb),
+                            ns_b);
     const auto log = rec.monitor->delivery_log();
     ASSERT_EQ(log.size(), solo.delivery.size());
     for (std::size_t i = 0; i < log.size(); ++i) {
       EXPECT_EQ(log[i], solo.delivery[i]) << "delivery[" << i << "]";
     }
     EXPECT_EQ(rec.monitor->state_digest(), solo.digest);
-    EXPECT_EQ(rec.report.snapshots_rejected, 0u);
+    EXPECT_EQ(rec.health.total_rejected(), 0u);
     EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
 
     // Tenant A's own recovery stays prefix-consistent (damage absorbed,
     // never thrown on): whatever it recovers is a prefix of A's stream.
-    const RecoveredMonitor rec_a =
-        recover_monitor(storage, ta.process_count(), tenant_options(ta),
-                        ns_a);
+    const LadderRecovery rec_a =
+        recover_with_ladder(storage, ta.process_count(), tenant_options(ta),
+                            ns_a);
     const auto order = ta.delivery_order();
     const auto log_a = rec_a.monitor->delivery_log();
     ASSERT_LE(log_a.size(), order.size());
@@ -258,8 +258,8 @@ TEST(WalNamespace, LegacyNamespaceCoexistsWithTenants) {
     tenant.log->sync();
   }
   for (const std::string& ns : {std::string(), wal::tenant_namespace(5)}) {
-    const RecoveredMonitor rec =
-        recover_monitor(storage, t.process_count(), tenant_options(t), ns);
+    const LadderRecovery rec =
+        recover_with_ladder(storage, t.process_count(), tenant_options(t), ns);
     EXPECT_EQ(rec.monitor->delivery_log().size(), t.delivery_order().size())
         << "ns='" << ns << "'";
     EXPECT_FALSE(rec.report.truncated);
