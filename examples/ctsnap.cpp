@@ -70,6 +70,8 @@ int cmd_info(const std::string& path) {
               m.wal_position);
   std::printf("processes      %" PRIu64 "\n", m.process_count);
   std::printf("events         %" PRIu64 "\n", m.event_count);
+  std::printf("run length     %" PRIu64 " records per ev_run_offsets entry\n",
+              m.run_records);
   if (m.has_arena) {
     std::printf("arena          %" PRIu64 " pool words, %" PRIu64
                 " covered sets\n",

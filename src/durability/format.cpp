@@ -162,25 +162,26 @@ std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) {
   return h;
 }
 
-std::string encode_columnar(const MonitoringEntity& monitor,
-                            std::uint64_t generation,
-                            std::size_t block_bytes, bool with_arena) {
+namespace {
+
+std::string encode_image(const MonitoringEntity& monitor,
+                         std::uint64_t generation, std::size_t block_bytes,
+                         bool with_arena) {
   CT_CHECK_MSG(block_bytes > 0, "columnar block_bytes must be positive");
+  const bool has_arena = with_arena && monitor.can_export_arena();
 
   // ---- event columns: the delivery log, in delivery order ----
+  const std::uint64_t run_records = has_arena ? 1 : kEventRunRecords;
   std::string ev_records, ev_run_offsets;
   const auto log = monitor.delivery_log();
   for (std::size_t i = 0; i < log.size(); ++i) {
-    if (i % kEventRunRecords == 0) {
-      put_u64_le(ev_run_offsets, ev_records.size());
-    }
+    if (i % run_records == 0) put_u64_le(ev_run_offsets, ev_records.size());
     wal::encode_record(ev_records, monitor.event(log[i]));
   }
   const std::uint64_t runs = ev_run_offsets.size() / 8;
 
   // ---- arena columns (when asked for and the backend exports one) ----
   ColumnCollector arena;
-  const bool has_arena = with_arena && monitor.can_export_arena();
   if (has_arena) {
     monitor.export_arena(arena);
     CT_CHECK_MSG(arena.rows_in_process == 0,
@@ -247,6 +248,7 @@ std::string encode_columnar(const MonitoringEntity& monitor,
   put_varint(footer, log.size());  // covered WAL position == delivered count
   put_varint(footer, monitor.process_count());
   put_varint(footer, log.size());
+  put_varint(footer, run_records);
   put_varint(footer, arena.pool_word_count);
   put_varint(footer, arena.covered_sets);
   put_varint(footer, block_bytes);
@@ -317,6 +319,19 @@ std::string encode_columnar(const MonitoringEntity& monitor,
   return out;
 }
 
+}  // namespace
+
+std::string encode_columnar(const MonitoringEntity& monitor,
+                            std::uint64_t generation,
+                            std::size_t block_bytes) {
+  return encode_image(monitor, generation, block_bytes, /*with_arena=*/true);
+}
+
+std::string encode_checkpoint(const MonitoringEntity& monitor) {
+  return encode_image(monitor, /*generation=*/0, kColumnarBlockBytes,
+                      /*with_arena=*/false);
+}
+
 ColumnarManifest parse_columnar_manifest(std::string_view bytes) {
   CT_CHECK_MSG(bytes.compare(0, 4, "CTS1") != 0,
                "CTS1 snapshot: a removed format, no longer read (checkpoints "
@@ -377,6 +392,10 @@ ColumnarManifest parse_columnar_manifest(std::string_view bytes) {
                "columnar WAL position " << m.wal_position
                                         << " disagrees with its "
                                         << m.event_count << " events");
+  m.run_records = take_varint(body, pos, "run records");
+  CT_CHECK_MSG(m.run_records >= 1 && m.run_records <= kEventRunRecords,
+               "columnar run of " << m.run_records << " records, outside [1, "
+                                  << kEventRunRecords << "]");
   m.pool_words = take_varint(body, pos, "pool words");
   m.covered_set_count = take_varint(body, pos, "covered set count");
   m.block_bytes = take_varint(body, pos, "block bytes");
@@ -506,7 +525,7 @@ ColumnarManifest parse_columnar_manifest(std::string_view bytes) {
                            << "expected " << count);
   };
   expect_count(ColumnId::kEvRunOffsets,
-               (m.event_count + kEventRunRecords - 1) / kEventRunRecords);
+               (m.event_count + m.run_records - 1) / m.run_records);
   if (m.has_arena) {
     expect_count(ColumnId::kPool, m.pool_words);
     expect_count(ColumnId::kRowOffset, m.event_count);
@@ -522,24 +541,33 @@ ColumnarManifest parse_columnar_manifest(std::string_view bytes) {
 
 void verify_columnar_blocks(std::string_view bytes,
                             const ColumnarManifest& manifest) {
+  const auto block_bytes = static_cast<std::size_t>(manifest.block_bytes);
   for (const ColumnInfo& c : manifest.columns) {
     CT_CHECK_MSG(c.offset + c.bytes <= bytes.size(),
                  "column " << to_string(c.id) << " out of bounds");
     const std::string_view data = bytes.substr(
         static_cast<std::size_t>(c.offset), static_cast<std::size_t>(c.bytes));
-    for (std::size_t b = 0; b < c.block_crcs.size(); ++b) {
-      const std::size_t at = b * static_cast<std::size_t>(manifest.block_bytes);
-      const std::size_t len = std::min(
-          static_cast<std::size_t>(manifest.block_bytes), data.size() - at);
-      const std::uint32_t computed = crc32c(data.substr(at, len));
-      if (computed != c.block_crcs[b]) {
-        throw ChecksumError(
-            "column " + std::string(to_string(c.id)) + " block " +
-            std::to_string(b) + " CRC mismatch at byte offset " +
-            std::to_string(c.offset + at) + ": stored " +
-            std::to_string(c.block_crcs[b]) + " vs computed " +
-            std::to_string(computed));
-      }
+    auto check = [&](std::size_t b, std::uint32_t computed) {
+      if (computed == c.block_crcs[b]) return;
+      throw ChecksumError(
+          "column " + std::string(to_string(c.id)) + " block " +
+          std::to_string(b) + " CRC mismatch at byte offset " +
+          std::to_string(c.offset + b * block_bytes) + ": stored " +
+          std::to_string(c.block_crcs[b]) + " vs computed " +
+          std::to_string(computed));
+    };
+    // Full blocks three at a time, the rest one by one.
+    const std::size_t full = data.size() / block_bytes;
+    std::size_t b = 0;
+    for (; b + 3 <= full; b += 3) {
+      const char* at = data.data() + b * block_bytes;
+      const auto crcs =
+          crc32c_x3(at, at + block_bytes, at + 2 * block_bytes, block_bytes);
+      for (std::size_t k = 0; k < 3; ++k) check(b + k, crcs[k]);
+    }
+    for (; b < c.block_crcs.size(); ++b) {
+      const std::size_t at = b * block_bytes;
+      check(b, crc32c(data.substr(at, std::min(block_bytes, data.size() - at))));
     }
   }
 }

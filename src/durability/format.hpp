@@ -10,8 +10,10 @@
 //       in the WAL record grammar (wal::encode_record: varint process,
 //       varint index, u8 kind, varint partner process, varint partner
 //       index) — the replay source of the recovery ladder;
-//     ev_run_offsets — u64le byte offset of every kEventRunRecords-th
-//       record, so event(i) decodes at most one run;
+//     ev_run_offsets — u64le byte offset of the first record of every run
+//       of `run_records` records: 1 in arena images, so the mapped
+//       server's event(i) is one offset load; kEventRunRecords in
+//       checkpoints (0.03 B/event), whose records are only replayed;
 //   and, in arena images only (published generations), fixed-width u32
 //   columns mirroring the engine's arena:
 //     pool — the TsArena component pool, verbatim;
@@ -22,10 +24,10 @@
 //     probes — the store-time-resolved probe rows, flattened per process;
 //     cs_sizes / cs_procs — the interned covered sets.
 //   footer manifest (varint body):
-//     version, arena flag, generation, covered WAL position, monitor
-//     options + health + state digest (the restore contract), and a column
-//     table carrying per-column FNV-1a digests and block-level CRC32C
-//     checksums.
+//     version, arena flag, generation, covered WAL position, run length,
+//     monitor options + health + state digest (the restore contract), and a
+//     column table carrying per-column FNV-1a digests and block-level
+//     CRC32C checksums.
 //   16-byte trailer: u64le footer_offset | u32le crc32c(footer) | "CT1E"
 //
 // DurableLog::checkpoint writes events-only images under `snap-<seq>.cts`
@@ -65,7 +67,8 @@ inline constexpr std::size_t kColumnarHeaderBytes = 8;   // magic + pad
 inline constexpr std::size_t kColumnarTrailerBytes = 16;
 /// Default CRC block grid.
 inline constexpr std::size_t kColumnarBlockBytes = 64 * 1024;
-/// Records per ev_run_offsets entry.
+/// Records per ev_run_offsets entry in checkpoint images, and the longest
+/// run a reader accepts. Arena images index every record.
 inline constexpr std::uint64_t kEventRunRecords = 256;
 /// Newest images of each family — checkpoints and published generations —
 /// that survive pruning.
@@ -122,6 +125,7 @@ struct ColumnarManifest {
   std::uint64_t wal_position = 0;  ///< delivered records the file covers
   std::uint64_t process_count = 0;
   std::uint64_t event_count = 0;
+  std::uint64_t run_records = 0;  ///< records per ev_run_offsets entry
   std::uint64_t pool_words = 0;
   std::uint64_t covered_set_count = 0;
   std::uint64_t block_bytes = 0;
@@ -141,15 +145,18 @@ struct ColumnarManifest {
 std::uint64_t fnv1a64(std::string_view data,
                       std::uint64_t seed = 14695981039346656037ull);
 
-/// Serializes the monitor's delivered state as one CTC1 image. With
-/// `with_arena` it also exports the arena columns when the monitor can
-/// (cluster backend); checkpoints pass false. Single-writer phase.
-/// `block_bytes` is the CRC block grid (smaller blocks localize corruption
-/// more precisely at more footer bytes).
+/// Serializes the monitor's delivered state as one CTC1 arena image — a
+/// published generation — with the arena columns when the monitor can
+/// export them (cluster backend), events-only otherwise. Single-writer
+/// phase. `block_bytes` is the CRC block grid (smaller blocks localize
+/// corruption more precisely at more footer bytes).
 std::string encode_columnar(const MonitoringEntity& monitor,
                             std::uint64_t generation,
-                            std::size_t block_bytes = kColumnarBlockBytes,
-                            bool with_arena = true);
+                            std::size_t block_bytes = kColumnarBlockBytes);
+
+/// The checkpoint image DurableLog::checkpoint writes: events only,
+/// generation 0, the default block grid.
+std::string encode_checkpoint(const MonitoringEntity& monitor);
 
 /// Parses and validates the magic, trailer, footer CRC, and manifest of a
 /// CTC1 image, including the column table's structural invariants (bounds,

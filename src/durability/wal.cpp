@@ -156,26 +156,21 @@ void encode_record(std::string& out, const Event& e) {
 
 namespace {
 
-/// One 32-bit record field. One- and two-byte encodings, the common cases,
-/// are read without a data-dependent branch: their lengths mix at random
-/// in a record stream. Longer or non-canonical ones (a continuation or a
-/// final 0x00 in the second byte) take the hardened decoder.
+/// One 32-bit record field: a canonical LEB128 of at most five bytes. A
+/// plain byte loop, bounded by the field width, decodes about twice as fast
+/// as the general 64-bit try_get_varint (docs/PERF.md §6).
 bool take_field(std::string_view data, std::size_t& pos, std::uint32_t& out) {
-  if (pos + 1 < data.size()) {
-    const std::uint32_t b0 = static_cast<unsigned char>(data[pos]);
-    const std::uint32_t b1 = static_cast<unsigned char>(data[pos + 1]);
-    const std::uint32_t two = b0 >> 7;  // 1 when b1 continues the varint
-    if ((two & ((b1 >> 7) | static_cast<std::uint32_t>(b1 == 0))) == 0) {
-      out = (b0 & 0x7fu) | ((b1 << 7) & (0u - two));
-      pos += 1 + two;
-      return true;
+  std::uint64_t value = 0;
+  for (unsigned shift = 0; shift <= 28 && pos < data.size(); shift += 7) {
+    const auto byte = static_cast<unsigned char>(data[pos++]);
+    value |= std::uint64_t{byte & 0x7fu} << shift;
+    if (byte < 0x80) {
+      out = static_cast<std::uint32_t>(value);
+      // A final 0x00 after a continuation byte is non-canonical padding.
+      return (byte != 0 || shift == 0) && value <= 0xffffffffull;
     }
   }
-  const VarintDecode d = try_get_varint(data, pos);
-  if (!d.ok() || d.value > 0xffffffffull) return false;
-  pos += d.length;
-  out = static_cast<std::uint32_t>(d.value);
-  return true;
+  return false;  // truncated, or a sixth byte
 }
 
 }  // namespace
@@ -196,64 +191,6 @@ bool decode_record(std::string_view data, std::size_t& pos, Event& out) {
   out.kind = static_cast<EventKind>(kind);
   out.partner = EventId{partner_process, partner_index};
   return true;
-}
-
-namespace {
-
-/// Bytes below 0x80 — varint terminators and kind bytes — in the `words`
-/// words at `data[at]`. Each sets a 0x01 lane; the multiply adds the lanes
-/// into the top byte (at most 32 here, so no carry crosses a lane).
-std::uint64_t terminators(std::string_view data, std::size_t at,
-                          std::size_t words) {
-  std::uint64_t lanes = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    lanes += (~get_u64_le(data, at + 8 * w) & 0x8080808080808080ull) >> 7;
-  }
-  return (lanes * 0x0101010101010101ull) >> 56;
-}
-
-}  // namespace
-
-// A block of k bytes holds at most k terminators, so both skips consume
-// whole blocks while more than a block's worth is still to be passed.
-std::size_t skip_records(std::string_view data, std::size_t pos,
-                         std::uint64_t n) {
-  std::uint64_t need = 5 * n;  // terminators still to pass
-  while (need >= 32 && pos + 32 <= data.size()) {
-    need -= terminators(data, pos, 4);
-    pos += 32;
-  }
-  while (need >= 8 && pos + 8 <= data.size()) {
-    need -= terminators(data, pos, 1);
-    pos += 8;
-  }
-  for (; need > 0 && pos < data.size(); ++pos) {
-    if (static_cast<unsigned char>(data[pos]) < 0x80) --need;
-  }
-  return pos;
-}
-
-std::size_t skip_records_back(std::string_view data, std::size_t end,
-                              std::uint64_t n) {
-  // The record starts just past the last byte of the one before it: the
-  // (5n+1)-th terminator back from `end`.
-  std::uint64_t need = 5 * n + 1;
-  std::size_t pos = std::min(end, data.size());
-  while (need > 32 && pos >= 32) {
-    need -= terminators(data, pos - 32, 4);
-    pos -= 32;
-  }
-  while (need > 8 && pos >= 8) {
-    need -= terminators(data, pos - 8, 1);
-    pos -= 8;
-  }
-  while (pos > 0) {
-    --pos;
-    if (static_cast<unsigned char>(data[pos]) < 0x80 && --need == 0) {
-      return pos + 1;
-    }
-  }
-  return 0;
 }
 
 void put_frame(std::string& out, std::uint8_t type,
@@ -623,9 +560,7 @@ void DurableLog::checkpoint(const MonitoringEntity& monitor) {
                    << monitor.delivery_log().size() << " delivered vs "
                    << next_seq_ << " logged");
 
-  const std::string image =
-      encode_columnar(monitor, /*generation=*/0, kColumnarBlockBytes,
-                      /*with_arena=*/false);
+  const std::string image = encode_checkpoint(monitor);
   const std::string name = wal::snapshot_object_name(next_seq_, options_.ns);
   if (storage_.exists(name)) storage_.remove(name);
   storage_.create(name);

@@ -230,17 +230,6 @@ void encode_record(std::string& out, const Event& e);
 /// non-canonical varint, a field wider than 32 bits, or an unknown kind.
 /// Never reads past `data`.
 bool decode_record(std::string_view data, std::size_t& pos, Event& out);
-/// Offset just past `n` records starting at `data[pos]`, found without
-/// decoding them: every record holds exactly five bytes below 0x80 (four
-/// varint terminators and the kind byte), so counting those bytes a word
-/// at a time skips records. Exact on well-formed records; never past
-/// `data.size()`.
-std::size_t skip_records(std::string_view data, std::size_t pos,
-                         std::uint64_t n);
-/// The same, backwards: the offset of the record `n` >= 1 records before
-/// the record boundary `end` (0 when the data starts first).
-std::size_t skip_records_back(std::string_view data, std::size_t end,
-                              std::uint64_t n);
 /// Fixed-width little-endian fields of the WAL and CTC1 grammars. The
 /// readers take `data[at]` onwards; the caller checks the bounds.
 void put_u32_le(std::string& out, std::uint32_t v);

@@ -438,9 +438,8 @@ SimReport run_schedule(const SimSchedule& schedule,
           // The checkpoint image DurableLog::checkpoint writes, restored
           // through the recovery ladder's verify-and-restore steps.
           const std::uint64_t before = monitor->state_digest();
-          const MappedSnapshot image(ColdBytes::from_string(encode_columnar(
-              *monitor, /*generation=*/0, kColumnarBlockBytes,
-              /*with_arena=*/false)));
+          const MappedSnapshot image(
+              ColdBytes::from_string(encode_checkpoint(*monitor)));
           image.verify();
           auto restored = restore_columnar(image);
           if (restored->state_digest() != before) {

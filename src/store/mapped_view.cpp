@@ -165,7 +165,12 @@ MappedSnapshot::MappedSnapshot(ColdBytes bytes) : bytes_(std::move(bytes)) {
 }
 
 std::uint64_t MappedSnapshot::run_offset(std::uint64_t run) const {
-  return wal::get_u64_le(run_offsets_, run * 8);
+  // Read in place rather than through wal::get_u64_le, which is not
+  // inlined: verify_structure reads one offset per record of an arena
+  // image. Little-endian, as every fixed-width column (format.cpp).
+  std::uint64_t offset = 0;
+  std::memcpy(&offset, run_offsets_.data() + run * 8, 8);
+  return offset;
 }
 
 Event MappedSnapshot::decode_event(std::uint64_t i, std::size_t& pos) const {
@@ -182,22 +187,13 @@ Event MappedSnapshot::event(std::uint64_t i) const {
   CT_CHECK_MSG(i < manifest_.event_count,
                "event " << i << " past the " << manifest_.event_count
                         << " stored events");
-  // Skip to record i from the nearer end of its run.
-  auto offset = [this](std::uint64_t run) {
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(run_offset(run), records_.size()));
-  };
-  const std::uint64_t run = i / kEventRunRecords;
-  const std::uint64_t skip = i % kEventRunRecords;
-  const bool last = (run + 1) * kEventRunRecords >= manifest_.event_count;
-  const std::uint64_t records =
-      last ? manifest_.event_count - run * kEventRunRecords : kEventRunRecords;
-  std::size_t pos =
-      skip <= records / 2
-          ? wal::skip_records(records_, offset(run), skip)
-          : wal::skip_records_back(
-                records_, last ? records_.size() : offset(run + 1),
-                records - skip);
+  // Decode from the start of the record's run (the record itself in an
+  // arena image). The offset is clamped so a corrupt one reads as a
+  // malformed record.
+  const std::uint64_t run = manifest_.run_records;
+  std::size_t pos = static_cast<std::size_t>(
+      std::min<std::uint64_t>(run_offset(i / run), records_.size()));
+  for (std::uint64_t k = i - i % run; k < i; ++k) decode_event(k, pos);
   return decode_event(i, pos);
 }
 
@@ -251,26 +247,27 @@ void MappedSnapshot::verify_structure() const {
   const std::uint64_t runs_at =
       manifest_.column(ColumnId::kEvRunOffsets)->offset;
   std::size_t pos = 0;
-  for (std::uint64_t i = 0; i < manifest_.event_count; ++i) {
-    const std::size_t at = pos;
-    if (i % kEventRunRecords == 0) {
-      const std::uint64_t run = i / kEventRunRecords;
-      CT_CHECK_MSG(run_offset(run) == at,
-                   "run " << run << " names record offset " << run_offset(run)
-                          << " but event " << i << " starts at " << at
-                          << ", at byte offset " << runs_at + run * 8);
+  for (std::uint64_t run = 0, i = 0; i < manifest_.event_count; ++run) {
+    CT_CHECK_MSG(run_offset(run) == pos,
+                 "run " << run << " names record offset " << run_offset(run)
+                        << " but event " << i << " starts at " << pos
+                        << ", at byte offset " << runs_at + run * 8);
+    const std::uint64_t run_end =
+        std::min(i + manifest_.run_records, manifest_.event_count);
+    for (; i < run_end; ++i) {
+      const std::size_t at = pos;
+      const Event e = decode_event(i, pos);
+      const std::uint32_t p = e.id.process;
+      CT_CHECK_MSG(p < procs, "event " << i << " names process " << p
+                                       << " of " << procs
+                                       << " at byte offset " << base + at);
+      CT_CHECK_MSG(e.id.index == seen[p] + 1,
+                   "event " << i << " has index " << e.id.index
+                            << ", expected " << seen[p] + 1
+                            << " for process " << p << " at byte offset "
+                            << base + at);
+      ++seen[p];
     }
-    const Event e = decode_event(i, pos);
-    const std::uint32_t p = e.id.process;
-    CT_CHECK_MSG(p < procs, "event " << i << " names process " << p
-                                     << " of " << procs << " at byte offset "
-                                     << base + at);
-    CT_CHECK_MSG(e.id.index == seen[p] + 1,
-                 "event " << i << " has index " << e.id.index
-                          << ", expected " << seen[p] + 1
-                          << " for process " << p << " at byte offset "
-                          << base + at);
-    ++seen[p];
   }
   CT_CHECK_MSG(pos == records_.size(),
                "ev_records holds " << records_.size() - pos

@@ -90,10 +90,11 @@ class MappedSnapshot {
   }
   std::string_view bytes() const { return bytes_.view(); }
 
-  /// The i-th delivered event: skips from the start of its run of
-  /// kEventRunRecords records to it, then decodes it. Exact on an image
-  /// that passed verify_structure(); never reads outside the image; throws
-  /// CheckFailure when the record it lands on is malformed.
+  /// The i-th delivered event: one offset load and one record decode in
+  /// an arena image, which indexes every record; in a checkpoint image it
+  /// decodes from the start of the record's run. Exact on an image that
+  /// passed verify_structure(); never reads outside the image; throws
+  /// CheckFailure when a record it decodes is malformed.
   Event event(std::uint64_t i) const;
 
   /// Visits every delivered event in delivery order, decoding the record
@@ -144,7 +145,7 @@ class MappedSnapshot {
 
  private:
   const std::uint32_t* u32_column(ColumnId id) const;
-  /// Byte offset, within ev_records, of record `run * kEventRunRecords`.
+  /// Byte offset, within ev_records, of the first record of run `run`.
   std::uint64_t run_offset(std::uint64_t run) const;
   /// Decodes record `i` at `pos` of ev_records and advances `pos`.
   Event decode_event(std::uint64_t i, std::size_t& pos) const;

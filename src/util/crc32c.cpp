@@ -46,6 +46,30 @@ __attribute__((target("sse4.2"))) std::uint32_t sse42_raw(
   return crc;
 }
 
+__attribute__((target("sse4.2"))) std::array<std::uint32_t, 3> sse42_x3(
+    const char* a, const char* b, const char* c, std::size_t n) {
+  std::uint64_t ca = 0xffffffffu, cb = 0xffffffffu, cc = 0xffffffffu;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t wa, wb, wc;
+    std::memcpy(&wa, a + i, 8);
+    std::memcpy(&wb, b + i, 8);
+    std::memcpy(&wc, c + i, 8);
+    ca = __builtin_ia32_crc32di(ca, wa);
+    cb = __builtin_ia32_crc32di(cb, wb);
+    cc = __builtin_ia32_crc32di(cc, wc);
+  }
+  auto ra = static_cast<std::uint32_t>(ca);
+  auto rb = static_cast<std::uint32_t>(cb);
+  auto rc = static_cast<std::uint32_t>(cc);
+  for (; i < n; ++i) {
+    ra = __builtin_ia32_crc32qi(ra, static_cast<unsigned char>(a[i]));
+    rb = __builtin_ia32_crc32qi(rb, static_cast<unsigned char>(b[i]));
+    rc = __builtin_ia32_crc32qi(rc, static_cast<unsigned char>(c[i]));
+  }
+  return {~ra, ~rb, ~rc};
+}
+
 bool has_sse42() {
   static const bool supported = __builtin_cpu_supports("sse4.2") != 0;
   return supported;
@@ -60,6 +84,14 @@ std::uint32_t crc32c_long(std::string_view data, std::uint32_t seed) {
   if (has_sse42()) return ~sse42_raw(data, ~seed);
 #endif
   return ~detail::crc32c_table_raw(data, ~seed);
+}
+
+std::array<std::uint32_t, 3> crc32c_x3(const char* a, const char* b,
+                                       const char* c, std::size_t n) {
+#if defined(CT_CRC32C_X86)
+  if (has_sse42()) return sse42_x3(a, b, c, n);
+#endif
+  return {crc32c({a, n}), crc32c({b, n}), crc32c({c, n})};
 }
 
 }  // namespace ct

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -56,6 +57,13 @@ inline std::uint32_t crc32c_table_raw(std::string_view data,
 /// Hardware-dispatched CRC32C for long inputs (crc32c.cpp). Bit-identical
 /// to the table tier; falls back to it off x86-64 or pre-SSE4.2.
 std::uint32_t crc32c_long(std::string_view data, std::uint32_t seed);
+
+/// crc32c() of three buffers of `n` bytes each, computed as three
+/// independent chains: the hardware crc32 instruction has a three-cycle
+/// latency but starts a new one every cycle, so three chains check CTC1
+/// blocks about twice as fast as one (docs/PERF.md §6).
+std::array<std::uint32_t, 3> crc32c_x3(const char* a, const char* b,
+                                       const char* c, std::size_t n);
 
 /// CRC32C of `data`, continuing from `seed` (0 for a fresh checksum).
 /// crc32c(b) == crc32c(b2, crc32c(b1)) for any split b = b1 + b2.

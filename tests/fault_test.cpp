@@ -216,12 +216,6 @@ TEST(FaultTolerance, CorruptionWithBoundedBufferStaysAccounted) {
 
 // ------------------------------------------------------ checkpoint/restore
 
-/// The image DurableLog::checkpoint writes for `monitor`: events only.
-std::string checkpoint_image(const MonitoringEntity& monitor) {
-  return encode_columnar(monitor, /*generation=*/0, kColumnarBlockBytes,
-                         /*with_arena=*/false);
-}
-
 /// Restores through the recovery ladder's verify-and-restore steps; throws
 /// CheckFailure wherever the ladder would reject the image.
 std::unique_ptr<MonitoringEntity> restore_image(ColdBytes bytes) {
@@ -248,7 +242,7 @@ void round_trip_backend(TimestampBackend backend) {
   ASSERT_GT(original.pending(), 0u)
       << "cut landed on a quiescent point; pick another seed";
 
-  auto restored = restore_image(checkpoint_image(original));
+  auto restored = restore_image(encode_checkpoint(original));
   ASSERT_EQ(restored->stored(), original.stored());
   ASSERT_EQ(restored->state_digest(), original.state_digest());
   ASSERT_EQ(restored->timestamp_words(), original.timestamp_words());
@@ -356,7 +350,7 @@ TEST(Snapshot, CorruptSnapshotsAreRejectedNotCrashing) {
   MonitoringEntity monitor(t.process_count(), options);
   for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
 
-  const std::string good = checkpoint_image(monitor);
+  const std::string good = encode_checkpoint(monitor);
 
   // Bad magic and unsupported version (the footer's first byte).
   const auto version_at =
@@ -408,7 +402,7 @@ TEST(Snapshot, EveryTruncationLengthIsRejected) {
   MonitoringEntity monitor(t.process_count(), options);
   for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
 
-  const std::string good = checkpoint_image(monitor);
+  const std::string good = encode_checkpoint(monitor);
   ASSERT_GT(good.size(), 16u);
 
   for (std::size_t len = 0; len < good.size(); ++len) {
@@ -436,7 +430,7 @@ TEST(Snapshot, MultiByteCorruptionNeverSilentlyAccepted) {
   MonitoringEntity monitor(t.process_count(), options);
   for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
 
-  const std::string good = checkpoint_image(monitor);
+  const std::string good = encode_checkpoint(monitor);
 
   Prng rng(113);
   std::size_t rejected = 0;

@@ -447,8 +447,7 @@ TEST(SnapshotV3, RoundTripsAMigratedMonitor) {
 
   // The options block of the checkpoint image bakes the migration in, so
   // restore rebuilds the engine in hybrid mode before replaying.
-  const MappedSnapshot image(ColdBytes::from_string(encode_columnar(
-      monitor, /*generation=*/0, kColumnarBlockBytes, /*with_arena=*/false)));
+  const MappedSnapshot image(ColdBytes::from_string(encode_checkpoint(monitor)));
   image.verify();
   EXPECT_EQ(image.manifest().options.migration_epoch,
             monitor.migration_epoch());

@@ -26,6 +26,7 @@
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
 #include "util/prng.hpp"
+#include "util/varint.hpp"
 
 namespace ct {
 namespace {
@@ -56,6 +57,17 @@ std::vector<Event> small_stream(std::size_t n, std::size_t rounds) {
     out.push_back(make(b, bi, EventKind::kReceive, EventId{a, ai}));
   }
   return out;
+}
+
+/// Recomputes the footer CRC of a CTC1 image whose footer a test edited.
+void redo_footer_crc(std::string& image) {
+  const auto footer = static_cast<std::size_t>(
+      wal::get_u64_le(image, image.size() - kColumnarTrailerBytes));
+  const std::uint32_t crc = crc32c(std::string_view(image).substr(
+      footer, image.size() - kColumnarTrailerBytes - footer));
+  for (std::size_t b = 0; b < 4; ++b) {
+    image[image.size() - 8 + b] = static_cast<char>((crc >> (8 * b)) & 0xff);
+  }
 }
 
 struct Strategy {
@@ -150,37 +162,64 @@ TEST(ColumnarFormat, MappedPrecedenceMatchesTheLiveEngine) {
 }
 
 TEST(ColumnarFormat, EventRunsIndexRecordBoundaries) {
-  // Several runs of kEventRunRecords records, the last one partial.
+  // A checkpoint indexes runs of kEventRunRecords records, the last one
+  // partial here; an arena image indexes every record.
   const std::vector<Event> stream = small_stream(7, 100);
   ASSERT_GT(stream.size(), 2 * kEventRunRecords);
   const auto monitor = fed_monitor(strategies(7)[2].options, 7, stream);
-  const std::string image =
-      encode_columnar(*monitor, 0, kColumnarBlockBytes, /*with_arena=*/false);
-  const ColumnarManifest m = parse_columnar_manifest(image);
-  EXPECT_FALSE(m.has_arena);
-  ASSERT_EQ(m.columns.size(), kEventColumnCount);
-  const ColumnInfo* runs = m.column(ColumnId::kEvRunOffsets);
-  ASSERT_NE(runs, nullptr);
-  EXPECT_EQ(runs->element_count,
-            (m.event_count + kEventRunRecords - 1) / kEventRunRecords);
-
-  MappedSnapshot snap(ColdBytes::from_string(image));
-  snap.verify();
   const auto log = monitor->delivery_log();
-  for (std::uint64_t i = 0; i < m.event_count; ++i) {
-    EXPECT_EQ(snap.event(i), monitor->event(log[i])) << "event " << i;
+  for (const bool arena : {false, true}) {
+    SCOPED_TRACE(arena ? "arena image" : "checkpoint image");
+    const std::string image =
+        arena ? encode_columnar(*monitor, 1) : encode_checkpoint(*monitor);
+    const ColumnarManifest m = parse_columnar_manifest(image);
+    ASSERT_EQ(m.has_arena, arena);
+    const std::uint64_t run = arena ? 1 : kEventRunRecords;
+    EXPECT_EQ(m.run_records, run);
+    const ColumnInfo* runs = m.column(ColumnId::kEvRunOffsets);
+    ASSERT_NE(runs, nullptr);
+    EXPECT_EQ(runs->element_count, (m.event_count + run - 1) / run);
+
+    MappedSnapshot snap(ColdBytes::from_string(image));
+    snap.verify();
+    for (std::uint64_t i = 0; i < m.event_count; ++i) {
+      EXPECT_EQ(snap.event(i), monitor->event(log[i])) << "event " << i;
+    }
+
+    // A run offset one byte into its record: only the structure tier sees
+    // it.
+    std::string bad = image;
+    const auto entry = static_cast<std::size_t>(runs->offset) + 8;
+    bad[entry] = static_cast<char>(bad[entry] + 1);
+    MappedSnapshot shifted(ColdBytes::from_string(bad));
+    try {
+      shifted.verify_structure();
+      FAIL() << "a misplaced run offset passed verify_structure";
+    } catch (const CheckFailure& f) {
+      EXPECT_NE(std::string(f.what()).find("run 1 "), std::string::npos)
+          << f.what();
+    }
   }
 
-  // A run offset one byte into its record: only the structure tier sees it.
-  std::string bad = image;
-  const auto entry = static_cast<std::size_t>(runs->offset) + 8;
-  bad[entry] = static_cast<char>(bad[entry] + 1);
-  MappedSnapshot shifted(ColdBytes::from_string(bad));
+  // A run length of 0, footer CRC redone, is refused before any lookup
+  // divides by it. It follows the version, arena flag, generation, WAL
+  // position, process count and event count.
+  std::string zero = encode_columnar(*monitor, 1);
+  std::size_t at = static_cast<std::size_t>(
+                       parse_columnar_manifest(zero).footer_offset) +
+                   2;
+  for (int field = 0; field < 4; ++field) {
+    at += try_get_varint(zero, at).length;
+  }
+  ASSERT_EQ(zero[at], 1) << "not the arena image's run length";
+  zero[at] = 0;
+  redo_footer_crc(zero);
   try {
-    shifted.verify_structure();
-    FAIL() << "a misplaced run offset passed verify_structure";
+    (void)parse_columnar_manifest(zero);
+    FAIL() << "a run length of 0 was accepted";
   } catch (const CheckFailure& f) {
-    EXPECT_NE(std::string(f.what()).find("run 1"), std::string::npos)
+    EXPECT_NE(std::string(f.what()).find("run of 0 records"),
+              std::string::npos)
         << f.what();
   }
 }
@@ -492,16 +531,9 @@ TEST(RecoveryLadder, RemovedFormatsUnderCheckpointNamesAreRefusedByName) {
   // footer CRC redone: the version check refuses it before any column.
   const std::string cts1_name = wal::snapshot_object_name(stream.size());
   const std::string v1_name = wal::snapshot_object_name(stream.size() + 1);
-  std::string v1 = encode_columnar(*rig.reference, 0, kColumnarBlockBytes,
-                                   /*with_arena=*/false);
-  const auto footer = static_cast<std::size_t>(
-      parse_columnar_manifest(v1).footer_offset);
-  v1[footer] = 1;
-  const std::uint32_t crc = crc32c(std::string_view(v1).substr(
-      footer, v1.size() - kColumnarTrailerBytes - footer));
-  for (std::size_t b = 0; b < 4; ++b) {
-    v1[v1.size() - 8 + b] = static_cast<char>((crc >> (8 * b)) & 0xff);
-  }
+  std::string v1 = encode_checkpoint(*rig.reference);
+  v1[static_cast<std::size_t>(parse_columnar_manifest(v1).footer_offset)] = 1;
+  redo_footer_crc(v1);
   rig.sim.create(cts1_name);
   rig.sim.append(cts1_name, std::string("CTS1\x03", 5) + "old snapshot");
   rig.sim.create(v1_name);
@@ -704,8 +736,8 @@ TEST(MappedView, PrecedesChecksItsOperandsInReleaseBuilds) {
   const Event f = monitor->event(monitor->delivery_log().back());
 
   // An events-only image has no arena to answer from.
-  const MappedSnapshot events_only(ColdBytes::from_string(encode_columnar(
-      *monitor, 1, kColumnarBlockBytes, /*with_arena=*/false)));
+  const MappedSnapshot events_only(
+      ColdBytes::from_string(encode_checkpoint(*monitor)));
   EXPECT_THROW((void)events_only.precedes(e, f), CheckFailure);
   EXPECT_THROW((void)events_only.precedes(e, e), CheckFailure);
 

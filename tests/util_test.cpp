@@ -575,6 +575,26 @@ TEST(Crc32c, HardwareTierMatchesTheTableTier) {
   }
 }
 
+TEST(Crc32c, ThreeChainsMatchOneChainEach) {
+  // crc32c_x3 checks three CTC1 blocks at once; each of its results must be
+  // the plain crc32c of its buffer, at every length and misalignment.
+  Prng prng(11);
+  std::string data(3 * 70000 + 8, '\0');
+  for (char& c : data) c = static_cast<char>(prng.index(256));
+  for (const std::size_t n :
+       std::vector<std::size_t>{0, 1, 7, 8, 9, 63, 64, 65, 4096, 70000}) {
+    for (const std::size_t skew : {std::size_t{0}, std::size_t{3}}) {
+      const char* a = data.data() + skew;
+      const char* b = a + n;
+      const char* c = b + n;
+      const auto got = crc32c_x3(a, b, c, n);
+      EXPECT_EQ(got[0], crc32c({a, n})) << "n " << n << " skew " << skew;
+      EXPECT_EQ(got[1], crc32c({b, n})) << "n " << n << " skew " << skew;
+      EXPECT_EQ(got[2], crc32c({c, n})) << "n " << n << " skew " << skew;
+    }
+  }
+}
+
 // --------------------------------------------------- varint (hardened decode)
 
 // Exhaustive boundary sweep: every 7-bit length boundary round-trips and
