@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_set.hpp"
@@ -23,6 +25,7 @@
 #include "core/engine.hpp"
 #include "core/precedence_kernels.hpp"
 #include "model/trace_builder.hpp"
+#include "monitor/monitor.hpp"
 #include "timestamp/fm_store.hpp"
 #include "timestamp/query_cost.hpp"
 #include "timestamp/ts_arena.hpp"
@@ -216,65 +219,90 @@ TEST_P(ArenaEquivalence, CursorMatchesLegacyBothDirections) {
   }
 }
 
-// The batch-transpose fast path (unlimited budget) must match sequential
-// precedes_metered calls answer-for-answer AND tick-for-tick; a budgeted
-// batch must take the sequential oracle path and stop at exactly the pair
-// where a running sequential meter would.
+// The monitor's batch entry must match sequential precedes_metered calls
+// answer-for-answer AND tick-for-tick on both timestamp backends; a
+// budgeted batch must stop at exactly the pair where a running sequential
+// meter would, leave every later slot untouched, and an undelivered operand
+// is a checked error.
 TEST_P(ArenaEquivalence, BatchedPrecedenceMatchesSequentialAnswersAndTicks) {
   const Trace trace = family_trace(GetParam());
-  ClusterTimestampEngine arena(trace.process_count(), engine_config(5),
-                               make_merge_on_nth(2.0));
-  arena.observe_trace(trace);
-
   const auto& order = trace.delivery_order();
-  std::vector<std::pair<const Event*, const Event*>> pairs;
+  std::vector<std::pair<EventId, EventId>> pairs;
   for (std::size_t i = 0; i < order.size(); i += 3) {
     for (std::size_t j = 0; j < order.size(); j += 5) {
-      pairs.emplace_back(&trace.event(order[i]), &trace.event(order[j]));
+      pairs.emplace_back(order[i], order[j]);
     }
   }
 
-  QueryCost batch_cost;
-  std::vector<std::optional<bool>> got(pairs.size());
-  ASSERT_EQ(arena.precedes_batch_metered(pairs, batch_cost, got.data()),
-            pairs.size());
+  for (const TimestampBackend backend :
+       {TimestampBackend::kClusterDynamic, TimestampBackend::kPrecomputedFm}) {
+    const std::string label =
+        trace.name() + (backend == TimestampBackend::kPrecomputedFm
+                            ? " (precomputed FM)"
+                            : " (cluster)");
+    MonitorOptions options;
+    options.backend = backend;
+    options.cluster = engine_config(5);
+    options.nth_threshold = 2.0;
+    MonitoringEntity monitor(trace.process_count(), options);
+    for (const EventId id : order) monitor.ingest(trace.event(id));
+    ASSERT_EQ(monitor.stored(), order.size()) << label;
 
-  QueryCost seq_cost;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto want =
-        arena.precedes_metered(*pairs[i].first, *pairs[i].second, seq_cost);
-    ASSERT_TRUE(want.has_value());
-    ASSERT_EQ(got[i], want) << trace.name() << " pair " << i;
-  }
-  EXPECT_EQ(batch_cost.ticks, seq_cost.ticks) << trace.name();
+    QueryCost batch_cost;
+    std::vector<std::optional<bool>> got(pairs.size());
+    ASSERT_EQ(monitor.precedes_batch_metered(pairs, batch_cost, got.data()),
+              pairs.size())
+        << label;
 
-  // Budget-limited run: same prefix of answers, short count at the same
-  // pair, untouched slots beyond it.
-  QueryCost limited{.ticks = 0, .budget = seq_cost.ticks / 2 + 1};
-  std::vector<std::optional<bool>> partial(pairs.size());
-  const std::size_t answered =
-      arena.precedes_batch_metered(pairs, limited, partial.data());
-  ASSERT_LE(answered, pairs.size());
+    QueryCost seq_cost;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto want =
+          monitor.precedes_metered(pairs[i].first, pairs[i].second, seq_cost);
+      ASSERT_TRUE(want.has_value());
+      ASSERT_EQ(got[i], want) << label << " pair " << i;
+    }
+    EXPECT_EQ(batch_cost.ticks, seq_cost.ticks) << label;
 
-  QueryCost replay{.ticks = 0, .budget = limited.budget};
-  for (std::size_t i = 0; i < answered; ++i) {
-    const auto want =
-        arena.precedes_metered(*pairs[i].first, *pairs[i].second, replay);
-    ASSERT_TRUE(want.has_value()) << trace.name() << " pair " << i;
-    ASSERT_EQ(partial[i], want) << trace.name() << " pair " << i;
-  }
-  if (answered < pairs.size()) {
-    EXPECT_FALSE(arena
-                     .precedes_metered(*pairs[answered].first,
-                                       *pairs[answered].second, replay)
-                     .has_value())
-        << trace.name() << ": batch stopped early at pair " << answered;
-    for (std::size_t i = answered; i < pairs.size(); ++i) {
-      ASSERT_FALSE(partial[i].has_value())
-          << trace.name() << ": slot " << i << " past the expiry was written";
+    // Budget-limited run: same prefix of answers, short count at the same
+    // pair, untouched slots beyond it.
+    QueryCost limited{.ticks = 0, .budget = seq_cost.ticks / 2 + 1};
+    std::vector<std::optional<bool>> partial(pairs.size());
+    const std::size_t answered =
+        monitor.precedes_batch_metered(pairs, limited, partial.data());
+    ASSERT_LE(answered, pairs.size());
+
+    QueryCost replay{.ticks = 0, .budget = limited.budget};
+    for (std::size_t i = 0; i < answered; ++i) {
+      const auto want =
+          monitor.precedes_metered(pairs[i].first, pairs[i].second, replay);
+      ASSERT_TRUE(want.has_value()) << label << " pair " << i;
+      ASSERT_EQ(partial[i], want) << label << " pair " << i;
+    }
+    if (answered < pairs.size()) {
+      EXPECT_FALSE(monitor
+                       .precedes_metered(pairs[answered].first,
+                                         pairs[answered].second, replay)
+                       .has_value())
+          << label << ": batch stopped early at pair " << answered;
+      for (std::size_t i = answered; i < pairs.size(); ++i) {
+        ASSERT_FALSE(partial[i].has_value())
+            << label << ": slot " << i << " past the expiry was written";
+      }
+    }
+    EXPECT_EQ(limited.ticks, replay.ticks) << label;
+
+    // An undelivered operand, on either side, is a checked error.
+    const EventId undelivered{0, trace.process_size(0) + 1};
+    for (const auto& bad : {std::pair{undelivered, order[0]},
+                            std::pair{order[0], undelivered}}) {
+      const std::vector<std::pair<EventId, EventId>> rows = {pairs[0], bad};
+      std::vector<std::optional<bool>> out(rows.size());
+      QueryCost cost;
+      EXPECT_THROW(monitor.precedes_batch_metered(rows, cost, out.data()),
+                   CheckFailure)
+          << label;
     }
   }
-  EXPECT_EQ(limited.ticks, replay.ticks) << trace.name();
 }
 
 // The cursor's batched one-sided entry points must agree with its scalar
