@@ -97,40 +97,6 @@ BENCHMARK(BM_Frontier_Cluster)
     ->Arg(300)
     ->Unit(benchmark::kMicrosecond);
 
-// The batched frontier kernel: a frontier query tests thousands of events
-// against ONE fixed anchor, so the cursor resolves the anchor's row, dense
-// covered-set index, and greatest-cluster-receive rows once per query
-// instead of once per test.
-void BM_Frontier_ClusterCursor(benchmark::State& state) {
-  const Trace& t = trace_for(static_cast<std::size_t>(state.range(0)));
-  ClusterEngineConfig config{.max_cluster_size = 13, .fm_vector_width = 300};
-  ClusterTimestampEngine engine(t.process_count(), config,
-                                make_merge_on_nth(10));
-  engine.observe_trace(t);
-  const auto probes = probe_events(t, 64);
-  std::size_t i = 0;
-  std::size_t tests = 0;
-  for (auto _ : state) {
-    const EventId e = probes[i++ & 63];
-    const auto cur = engine.cursor(t.event(e));
-    const auto frontiers = compute_frontiers_with(
-        t.process_count(), e,
-        [&](EventId a, EventId b) {
-          return a == e ? cur.anchor_precedes(t.event(b))
-                        : cur.precedes_anchor(t.event(a));
-        },
-        [&](ProcessId q) { return t.process_size(q); });
-    tests += frontiers.precedence_tests;
-    benchmark::DoNotOptimize(frontiers.greatest_concurrent.data());
-  }
-  state.counters["precedence_tests_per_op"] =
-      static_cast<double>(tests) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_Frontier_ClusterCursor)
-    ->Arg(100)
-    ->Arg(300)
-    ->Unit(benchmark::kMicrosecond);
-
 // The paper's "several minutes" regime: each of the thousands of precedence
 // tests may recompute vectors. Kept to N=100 and few iterations so the
 // bench binary still finishes promptly — the gap is the point.
@@ -148,11 +114,11 @@ BENCHMARK(BM_Frontier_OnDemandFm)
 // --------------------------------------------------- answer verification
 
 /// The acceptance gate run before every benchmark session: at the largest
-/// standard size the cursor path must answer every single precedence test
-/// of every frontier query exactly like the precomputed Fidge/Mattern
+/// standard size the cluster engine must answer every single precedence
+/// test of every frontier query exactly like the precomputed Fidge/Mattern
 /// store — verified inside the query (test-for-test), not just on the
 /// final frontiers.
-void verify_cursor_exactness() {
+void verify_cluster_exactness() {
   constexpr std::size_t kN = 300;
   const Trace& t = trace_for(kN);
   ClusterEngineConfig config{.max_cluster_size = 13, .fm_vector_width = 300};
@@ -165,27 +131,25 @@ void verify_cursor_exactness() {
   const auto size_of = [&](ProcessId q) { return t.process_size(q); };
   std::size_t tests = 0;
   for (const EventId e : probes) {
-    const auto cur = engine.cursor(t.event(e));
     const auto checked = [&](EventId a, EventId b) {
-      const bool answer = a == e ? cur.anchor_precedes(t.event(b))
-                                 : cur.precedes_anchor(t.event(a));
+      const bool answer = engine.precedes(t.event(a), t.event(b));
       CT_CHECK_MSG(answer == truth.precedes(a, b),
-                   "cursor and FM disagree on " << a << " -> " << b);
+                   "cluster and FM disagree on " << a << " -> " << b);
       ++tests;
       return answer;
     };
-    const auto via_cursor =
+    const auto via_cluster =
         compute_frontiers_with(t.process_count(), e, checked, size_of);
     const auto via_fm = compute_frontiers_with(
         t.process_count(), e,
         [&](EventId a, EventId b) { return truth.precedes(a, b); }, size_of);
     CT_CHECK_MSG(
-        via_cursor.greatest_predecessor == via_fm.greatest_predecessor &&
-            via_cursor.greatest_concurrent == via_fm.greatest_concurrent,
+        via_cluster.greatest_predecessor == via_fm.greatest_predecessor &&
+            via_cluster.greatest_concurrent == via_fm.greatest_concurrent,
         "frontiers diverge at probe " << e);
   }
   std::printf("[perf] N=%zu: %zu frontier queries (%zu precedence tests) "
-              "verified cursor == FM\n\n",
+              "verified cluster == FM\n\n",
               kN, probes.size(), tests);
 }
 
@@ -193,7 +157,7 @@ void verify_cursor_exactness() {
 }  // namespace ct
 
 int main(int argc, char** argv) {
-  ct::verify_cursor_exactness();
+  ct::verify_cluster_exactness();
   auto args = ct::bench::gbench_args(argc, argv, "gbench_frontier");
   benchmark::Initialize(&args.argc, args.argv.data());
   // Which kernel tier served this run (CPUID-selected);

@@ -4,6 +4,7 @@
 
 #include "core/precedence_kernels.hpp"
 #include "util/check.hpp"
+#include "util/epoch.hpp"
 
 namespace ct {
 
@@ -141,7 +142,7 @@ std::uint32_t ClusterTimestampEngine::resolve_probe(
 
 void ClusterTimestampEngine::refresh_probes(ArenaSnapshot& snap, EventId id) {
   const RowRef& ref = snap.row_refs[id.process][id.index - 1];
-  if (ref.aux == kFullRowAux) return;  // full rows carry no probes
+  if (ref.aux == kFullRow) return;  // full rows carry no probes
   const auto& procs = *snap.covered_sets[ref.aux].procs;
   const EventIndex* row = snap.arena.pool_data() + ref.offset;
   std::uint32_t* probes = snap.probe_pool[id.process].data() + ref.probe_off;
@@ -193,7 +194,7 @@ void ClusterTimestampEngine::observe(const Event& e) {
   CT_CHECK_MSG(snap.row_refs[p].size() + 1 == e.id.index,
                "event " << e.id << " stored out of order");
   ++events_;
-  RowRef ref{0, kFullRowAux,
+  RowRef ref{0, kFullRow,
              static_cast<std::uint32_t>(snap.probe_pool[p].size())};
   if (is_cluster_receive) {
     // Full Fidge/Mattern vector; this event becomes the greatest cluster
@@ -247,7 +248,7 @@ ClusterTimestamp ClusterTimestampEngine::timestamp(EventId e) const {
   check_operands(snap, e, e);
   const RowRef& ref = snap.row_refs[e.process][e.index - 1];
   ClusterTimestamp ts;
-  ts.cluster_receive = ref.aux == kFullRowAux;
+  ts.cluster_receive = ref.aux == kFullRow;
   if (!ts.cluster_receive) ts.covered = snap.covered_sets[ref.aux].procs;
   const auto row =
       snap.arena.values(snap.arena.handle_of(e.process, e.index - 1));
@@ -265,324 +266,21 @@ bool ClusterTimestampEngine::precedes(const Event& ev_e,
 
 std::optional<bool> ClusterTimestampEngine::precedes_metered(
     const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
-  const EventId e = ev_e.id;
   const EventId f = ev_f.id;
   // One snapshot load per query: every pointer below derives from it, so a
   // concurrent repair publishing a newer snapshot cannot mix states.
   const ArenaSnapshot& snap = *snapshot();
-  check_operands(snap, e, f);
-  if (e == f) return false;
-  // Sync partners carry identical vectors but are mutually concurrent.
-  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-
+  check_operands(snap, ev_e.id, f);
   const RowRef& ref = snap.row_refs[f.process][f.index - 1];
   const EventIndex* pool = snap.arena.pool_data();
-  const EventIndex* row = pool + ref.offset;
-
-  // Direct test: FM(e)[p_e] is e's own index; exact whenever f's row covers
-  // e's process (same cluster, or f is a full cluster receive). One tick.
-  if (!cost.charge(1)) return std::nullopt;
-  if (ref.aux == kFullRowAux) return e.index <= row[e.process];
-  const CoveredSet& cs = snap.covered_sets[ref.aux];
-  if (const std::int32_t slot = cs.pos[e.process]; slot >= 0) {
-    return e.index <= row[static_cast<std::size_t>(slot)];
-  }
-
-  // e's process is outside covered(f): any causal path from e into f's
-  // cluster must enter through a non-merged cluster receive. Each covered
-  // slot's probe is the greatest cluster receive f has seen there; one tick
-  // per probe read.
-  const std::uint32_t* probes =
-      snap.probe_pool[f.process].data() + ref.probe_off;
-  const std::size_t width = cs.procs->size();
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::uint32_t off = probes[i];
-    if (off == kNoProbe) continue;  // no cluster receive seen yet
-    if (!cost.charge(1)) return std::nullopt;
-    if (e.index <= pool[off + e.process]) return true;
-  }
-  return false;
-}
-
-std::size_t ClusterTimestampEngine::precedes_batch_metered(
-    std::span<const std::pair<const Event*, const Event*>> pairs,
-    QueryCost& cost, std::optional<bool>* out) const {
-  // The transpose fast path needs the whole batch to be answerable (no
-  // mid-batch budget exhaustion), so budget-limited calls take the
-  // sequential loop — which is also the tick-accounting oracle the fast
-  // path must match: answers AND ticks are bit-identical by construction.
-  if (cost.budget != 0) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto answer = precedes_metered(*pairs[i].first, *pairs[i].second,
-                                           cost);
-      if (!answer.has_value()) return i;
-      out[i] = answer;
-    }
-    return pairs.size();
-  }
-
-  // Batch transpose: one resolve pass decodes each pair's arena row ONCE
-  // and gathers the direct-test operands (bound, component) contiguously;
-  // one batch_leq sweep then streams the comparisons. Pairs the direct test
-  // cannot decide (uncovered process: the probe walk) are answered scalar
-  // inline, charging exactly the ticks the sequential loop would.
-  const ArenaSnapshot& snap = *snapshot();
-  const EventIndex* pool = snap.arena.pool_data();
-  const std::size_t n = pairs.size();
-  std::vector<EventIndex> bounds;
-  std::vector<EventIndex> comps;
-  std::vector<std::uint32_t> direct;  // pair index per gathered operand
-  bounds.reserve(n);
-  comps.reserve(n);
-  direct.reserve(n);
-  std::uint64_t ticks = 0;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Event& ev_e = *pairs[i].first;
-    const Event& ev_f = *pairs[i].second;
-    const EventId e = ev_e.id;
-    const EventId f = ev_f.id;
-    check_operands(snap, e, f);
-    if (e == f || (ev_e.kind == EventKind::kSync && ev_e.partner == f)) {
-      out[i] = false;  // decided before any charge, like the scalar path
-      continue;
-    }
-    const RowRef& ref = snap.row_refs[f.process][f.index - 1];
-    const EventIndex* row = pool + ref.offset;
-    ++ticks;  // the direct test
-    if (ref.aux == kFullRowAux) {
-      bounds.push_back(e.index);
-      comps.push_back(row[e.process]);
-      direct.push_back(static_cast<std::uint32_t>(i));
-      continue;
-    }
+  ResolvedRow row{.id = f, .pool = pool, .values = pool + ref.offset};
+  if (ref.aux != kFullRow) {
     const CoveredSet& cs = snap.covered_sets[ref.aux];
-    if (const std::int32_t slot = cs.pos[e.process]; slot >= 0) {
-      bounds.push_back(e.index);
-      comps.push_back(row[static_cast<std::size_t>(slot)]);
-      direct.push_back(static_cast<std::uint32_t>(i));
-      continue;
-    }
-    const std::uint32_t* probes =
-        snap.probe_pool[f.process].data() + ref.probe_off;
-    const std::size_t width = cs.procs->size();
-    bool answer = false;
-    for (std::size_t k = 0; k < width; ++k) {
-      const std::uint32_t off = probes[k];
-      if (off == kNoProbe) continue;
-      ++ticks;
-      if (e.index <= pool[off + e.process]) {
-        answer = true;
-        break;
-      }
-    }
-    out[i] = answer;
+    row.slot_of = cs.pos.data();
+    row.probes = snap.probe_pool[f.process].data() + ref.probe_off;
+    row.width = cs.procs->size();
   }
-
-  std::vector<std::uint8_t> flags(direct.size());
-  kernels::batch_leq(bounds.data(), comps.data(), direct.size(),
-                     flags.data());
-  for (std::size_t j = 0; j < direct.size(); ++j) {
-    out[direct[j]] = flags[j] != 0;
-  }
-  cost.charge(ticks);  // unlimited budget: never fails
-  return n;
-}
-
-ClusterTimestampEngine::PrecedenceCursor::PrecedenceCursor(
-    const ClusterTimestampEngine& engine, const Event& anchor)
-    : engine_(engine),
-      guard_(util::EpochDomain::global().pin()),
-      anchor_(anchor.id),
-      anchor_partner_(kNoEvent) {
-  // The epoch pin (taken above, before this load) keeps this snapshot —
-  // and every raw pointer resolved from it — alive for the cursor's whole
-  // lifetime, even if a repair publishes a newer one.
-  snap_ = engine_.snapshot();
-  check_operands(*snap_, anchor_, anchor_);
-  if (anchor.kind == EventKind::kSync) anchor_partner_ = anchor.partner;
-
-  const EventIndex* pool = snap_->arena.pool_data();
-  const RowRef& ref = snap_->row_refs[anchor_.process][anchor_.index - 1];
-  row_ = pool + ref.offset;
-  if (ref.aux == kFullRowAux) return;  // pos_ stays null: full-vector anchor
-
-  const CoveredSet& cs = snap_->covered_sets[ref.aux];
-  pos_ = cs.pos.data();
-  // Materialize the anchor's store-time-resolved probe rows as direct
-  // pointers; precedes_anchor then reads components with no offset hops.
-  const std::size_t width = cs.procs->size();
-  const std::uint32_t* probes =
-      snap_->probe_pool[anchor_.process].data() + ref.probe_off;
-  receive_rows_.resize(width, nullptr);
-  for (std::size_t i = 0; i < width; ++i) {
-    if (probes[i] != kNoProbe) receive_rows_[i] = pool + probes[i];
-  }
-}
-
-bool ClusterTimestampEngine::PrecedenceCursor::anchor_precedes(
-    const Event& ev_x) const {
-  const EventId x = ev_x.id;
-  check_operands(*snap_, anchor_, x);
-  if (x == anchor_) return false;
-  if (x == anchor_partner_) return false;  // sync halves are concurrent
-
-  const RowRef& ref = snap_->row_refs[x.process][x.index - 1];
-  const EventIndex* pool = snap_->arena.pool_data();
-  const EventIndex* row = pool + ref.offset;
-
-  engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-  if (ref.aux == kFullRowAux) return anchor_.index <= row[anchor_.process];
-  const CoveredSet& cs = snap_->covered_sets[ref.aux];
-  if (const std::int32_t slot = cs.pos[anchor_.process]; slot >= 0) {
-    return anchor_.index <= row[static_cast<std::size_t>(slot)];
-  }
-
-  const std::uint32_t* probes =
-      snap_->probe_pool[x.process].data() + ref.probe_off;
-  const std::size_t width = cs.procs->size();
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::uint32_t off = probes[i];
-    if (off == kNoProbe) continue;
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-    if (anchor_.index <= pool[off + anchor_.process]) return true;
-  }
-  return false;
-}
-
-bool ClusterTimestampEngine::PrecedenceCursor::precedes_anchor(
-    const Event& ev_x) const {
-  const EventId x = ev_x.id;
-  check_operands(*snap_, x, anchor_);
-  if (x == anchor_) return false;
-  if (ev_x.kind == EventKind::kSync && ev_x.partner == anchor_) return false;
-
-  engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-  if (pos_ == nullptr) return x.index <= row_[x.process];  // full anchor
-  if (const std::int32_t slot = pos_[x.process]; slot >= 0) {
-    return x.index <= row_[static_cast<std::size_t>(slot)];
-  }
-  for (const EventIndex* rr : receive_rows_) {
-    if (rr == nullptr) continue;
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-    if (x.index <= rr[x.process]) return true;
-  }
-  return false;
-}
-
-void ClusterTimestampEngine::PrecedenceCursor::anchor_precedes_batch(
-    std::span<const Event* const> xs, std::uint8_t* out) const {
-  const std::size_t n = xs.size();
-  const EventIndex* pool = snap_->arena.pool_data();
-  std::vector<EventIndex> bounds;
-  std::vector<EventIndex> comps;
-  std::vector<std::uint32_t> direct;
-  bounds.reserve(n);
-  comps.reserve(n);
-  direct.reserve(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const EventId x = xs[i]->id;
-    check_operands(*snap_, anchor_, x);
-    if (x == anchor_ || x == anchor_partner_) {
-      out[i] = 0;
-      continue;
-    }
-    const RowRef& ref = snap_->row_refs[x.process][x.index - 1];
-    const EventIndex* row = pool + ref.offset;
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-    if (ref.aux == kFullRowAux) {
-      bounds.push_back(anchor_.index);
-      comps.push_back(row[anchor_.process]);
-      direct.push_back(static_cast<std::uint32_t>(i));
-      continue;
-    }
-    const CoveredSet& cs = snap_->covered_sets[ref.aux];
-    if (const std::int32_t slot = cs.pos[anchor_.process]; slot >= 0) {
-      bounds.push_back(anchor_.index);
-      comps.push_back(row[static_cast<std::size_t>(slot)]);
-      direct.push_back(static_cast<std::uint32_t>(i));
-      continue;
-    }
-    const std::uint32_t* probes =
-        snap_->probe_pool[x.process].data() + ref.probe_off;
-    const std::size_t width = cs.procs->size();
-    std::uint8_t answer = 0;
-    for (std::size_t k = 0; k < width; ++k) {
-      const std::uint32_t off = probes[k];
-      if (off == kNoProbe) continue;
-      engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-      if (anchor_.index <= pool[off + anchor_.process]) {
-        answer = 1;
-        break;
-      }
-    }
-    out[i] = answer;
-  }
-
-  std::vector<std::uint8_t> flags(direct.size());
-  kernels::batch_leq(bounds.data(), comps.data(), direct.size(),
-                     flags.data());
-  for (std::size_t j = 0; j < direct.size(); ++j) {
-    out[direct[j]] = flags[j];
-  }
-}
-
-void ClusterTimestampEngine::PrecedenceCursor::precedes_anchor_batch(
-    std::span<const Event* const> xs, std::uint8_t* out) const {
-  const std::size_t n = xs.size();
-  std::vector<EventIndex> bounds;
-  std::vector<EventIndex> comps;
-  std::vector<std::uint32_t> direct;
-  bounds.reserve(n);
-  comps.reserve(n);
-  direct.reserve(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Event& ev_x = *xs[i];
-    const EventId x = ev_x.id;
-    check_operands(*snap_, x, anchor_);
-    if (x == anchor_ ||
-        (ev_x.kind == EventKind::kSync && ev_x.partner == anchor_)) {
-      out[i] = 0;
-      continue;
-    }
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-    if (pos_ == nullptr) {  // full-vector anchor: always covered
-      bounds.push_back(x.index);
-      comps.push_back(row_[x.process]);
-      direct.push_back(static_cast<std::uint32_t>(i));
-      continue;
-    }
-    if (const std::int32_t slot = pos_[x.process]; slot >= 0) {
-      bounds.push_back(x.index);
-      comps.push_back(row_[static_cast<std::size_t>(slot)]);
-      direct.push_back(static_cast<std::uint32_t>(i));
-      continue;
-    }
-    std::uint8_t answer = 0;
-    for (const EventIndex* rr : receive_rows_) {
-      if (rr == nullptr) continue;
-      engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-      if (x.index <= rr[x.process]) {
-        answer = 1;
-        break;
-      }
-    }
-    out[i] = answer;
-  }
-
-  std::vector<std::uint8_t> flags(direct.size());
-  kernels::batch_leq(bounds.data(), comps.data(), direct.size(),
-                     flags.data());
-  for (std::size_t j = 0; j < direct.size(); ++j) {
-    out[direct[j]] = flags[j];
-  }
-}
-
-ClusterTimestampEngine::PrecedenceCursor ClusterTimestampEngine::cursor(
-    const Event& anchor) const {
-  return PrecedenceCursor(*this, anchor);
+  return cluster_precedes(ev_e, row, cost);
 }
 
 ClusterEngineStats ClusterTimestampEngine::stats() const {
@@ -613,7 +311,7 @@ std::uint64_t ClusterTimestampEngine::cluster_digest(ClusterId c) const {
     mix(refs.size());
     for (std::size_t i = 0; i < refs.size(); ++i) {
       const auto row = snap.arena.values(snap.arena.handle_of(p, i));
-      mix(refs[i].aux == kFullRowAux ? 1 : 0);  // the cluster-receive flag
+      mix(refs[i].aux == kFullRow ? 1 : 0);  // the cluster-receive flag
       mix(row.size());
       for (const EventIndex v : row) mix(v);
     }
@@ -663,7 +361,7 @@ std::uint64_t ClusterTimestampEngine::rebuild_cluster(
     const FmClock& fm = scratch.observe(e);
     if (!in_cluster[e.id.process]) continue;
     const RowRef& ref = next->row_refs[id.process][id.index - 1];
-    if (ref.aux == kFullRowAux) {
+    if (ref.aux == kFullRow) {
       values.assign(fm.begin(), fm.end());
     } else {
       // Historical covered set: projection shape is part of the retained
@@ -688,8 +386,6 @@ std::size_t ClusterTimestampEngine::arena_words() const {
 }
 
 void ClusterTimestampEngine::export_arena(ArenaExportSink& sink) const {
-  static_assert(kExportFullRow == kFullRowAux &&
-                kExportNoProbe == kNoProbe);
   const ArenaSnapshot& snap = *snapshot();
   sink.pool(snap.arena.pool_data(), snap.arena.pool_words());
   for (std::size_t id = 0; id < snap.covered_sets.size(); ++id) {

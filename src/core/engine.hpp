@@ -18,22 +18,18 @@
 // sizing of the vectors is likely to have a detrimental impact on the
 // memory-allocation system" (§3.1).
 //
-// The precedence test (constant-ish time, see DESIGN.md §3):
-//   e → f ⟺ p_e covered by TS(f):  index(e) ≤ TS(f)[p_e]          (exact)
-//          otherwise:  ∃ q ∈ covered(f) with a cluster receive r_q at
-//                      index ≤ TS(f)[q] and index(e) ≤ FM(r_q)[p_e]
-// using the fact that FM(e)[p_e] is just e's own index, and that any causal
-// path entering covered(f) from outside must pass through a non-merged
-// cluster receive (whose full vector the engine retained).
+// The precedence test (constant-ish time, see DESIGN.md §3) is
+// cluster_precedes (core/cluster_precedence.hpp), the one copy the engine
+// and the mapped view share.
 //
 // The timestamp store (docs/PERF.md §2): every stored row lives once, in a
 // flat TsArena bundled with the indexes a query reads — a per-event RowRef,
 // a dense process→position table per interned covered set, and the
 // store-time-resolved greatest-cluster-receive probe of every projection
-// slot — so the test above runs over contiguous pools with O(1) component
-// lookups (core/precedence_kernels.hpp) instead of per-vector heap hops and
-// binary searches. timestamp() materializes a ClusterTimestamp from it by
-// value; digests, corruption injection and rebuilds read or rewrite it.
+// slot — so the test runs over contiguous pools with O(1) component
+// lookups instead of per-vector heap hops and binary searches. timestamp()
+// materializes a ClusterTimestamp from it by value; digests, corruption
+// injection and rebuilds read or rewrite it.
 //
 // Lock-free read publication: that bundle is one ArenaSnapshot behind an
 // atomic pointer. Ingestion appends to the current snapshot in place
@@ -43,10 +39,9 @@
 // the clone, publish it with a single atomic swap, and retire the old
 // snapshot to the global epoch domain (util/epoch.hpp). Every reader pins
 // util::EpochDomain::global() while it holds a snapshot: the broker pins
-// around precedes/precedes_metered/precedes_batch_metered for its callers,
-// while timestamp(), cluster_digest() and each PrecedenceCursor (for its
-// lifetime) pin themselves. Rebuilds never block queries and the read path
-// takes zero locks.
+// around precedes/precedes_metered for its callers, while timestamp() and
+// cluster_digest() pin themselves. Rebuilds never block queries and the
+// read path takes zero locks.
 #pragma once
 
 #include <atomic>
@@ -62,12 +57,12 @@
 
 #include "cluster/cluster_set.hpp"
 #include "cluster/merge_policy.hpp"
+#include "core/cluster_precedence.hpp"
 #include "core/cluster_timestamp.hpp"
 #include "model/trace.hpp"
 #include "timestamp/fm_engine.hpp"
 #include "timestamp/query_cost.hpp"
 #include "timestamp/ts_arena.hpp"
-#include "util/epoch.hpp"
 
 namespace ct {
 
@@ -149,86 +144,23 @@ class ClusterTimestampEngine {
   std::optional<bool> precedes_metered(const Event& ev_e, const Event& ev_f,
                                        QueryCost& cost) const;
 
-  /// Metered batch entry point (the broker's batch path): answers pairs in
-  /// order with tick accounting identical to sequential precedes_metered
-  /// calls. Returns the number of answered pairs; a return short of
-  /// pairs.size() means the budget ran out at that pair (its slot and all
-  /// later slots are untouched). For one-sided batches (a shared anchor),
-  /// PrecedenceCursor amortizes far more — prefer it where it applies.
-  std::size_t precedes_batch_metered(
-      std::span<const std::pair<const Event*, const Event*>> pairs,
-      QueryCost& cost, std::optional<bool>* out) const;
-
-  /// Amortized one-sided precedence for frontier-style query batches (many
-  /// tests against one fixed anchor event). Construction resolves the
-  /// anchor's row, covered-set index, and — decisive for the x→anchor
-  /// direction — the greatest cluster receive of every covered process
-  /// ONCE; each test is then a handful of contiguous component reads.
-  /// The cursor borrows the engine (no observe() may interleave with its
-  /// use) and pins the epoch domain for its lifetime.
-  class PrecedenceCursor {
-   public:
-    /// anchor → x. `ev_x` must have been observed (a checked error
-    /// otherwise, here and in every call below).
-    bool anchor_precedes(const Event& ev_x) const;
-    /// x → anchor.
-    bool precedes_anchor(const Event& ev_x) const;
-
-    /// Batched one-sided tests (out[i] = 0/1, same answers as the scalar
-    /// calls above in order): one transpose pass resolves each x's arena
-    /// row pointer once and gathers the direct-test operands contiguously,
-    /// then one batch_leq sweep compares them; pairs the direct test cannot
-    /// decide fall back to the scalar probe walk inline.
-    void anchor_precedes_batch(std::span<const Event* const> xs,
-                               std::uint8_t* out) const;
-    void precedes_anchor_batch(std::span<const Event* const> xs,
-                               std::uint8_t* out) const;
-
-   private:
-    friend class ClusterTimestampEngine;
-    PrecedenceCursor(const ClusterTimestampEngine& engine,
-                     const Event& anchor);
-
-    const ClusterTimestampEngine& engine_;
-    /// Keeps the snapshot the cursor resolved its pointers from alive even
-    /// if a concurrent repair publishes a newer one mid-lifetime.
-    util::EpochDomain::Guard guard_;
-    const ArenaSnapshot* snap_ = nullptr;
-    EventId anchor_;
-    EventId anchor_partner_;  // kNoEvent unless the anchor is a sync half
-    const EventIndex* row_ = nullptr;     // anchor's component row
-    const std::int32_t* pos_ = nullptr;   // dense process→slot, full row: null
-    /// Resolved full rows of the greatest cluster receive per covered
-    /// process of the anchor (empty for full-row anchors).
-    std::vector<const EventIndex*> receive_rows_;
-  };
-
-  /// Builds a cursor anchored at `anchor`, which must have been observed.
-  PrecedenceCursor cursor(const Event& anchor) const;
-
   // --- columnar export (src/store/) -------------------------------------
-
-  /// Sentinels of the exported arena layout, shared with the on-disk CTC1
-  /// columnar format: a row whose aux is kExportFullRow holds a full
-  /// Fidge/Mattern vector; a probe slot of kExportNoProbe means "no cluster
-  /// receive at or below the bound".
-  static constexpr std::uint32_t kExportFullRow = 0xffff'ffffu;
-  static constexpr std::uint32_t kExportNoProbe = 0xffff'ffffu;
 
   /// Read-only visitor over the published arena snapshot. The columnar
   /// snapshot store persists exactly what precedes() reads — the
   /// component pool, per-event row descriptors, resolved probe rows, and
-  /// interned covered sets — so a mapped snapshot can answer precedence
-  /// without replaying anything. Callbacks arrive in a fixed order: pool,
-  /// covered sets (by ascending id), then per process its rows (ascending
-  /// event index) followed by its probe pool.
+  /// interned covered sets, with the sentinels kFullRow and kNoProbe — so
+  /// a mapped snapshot can answer precedence without replaying anything.
+  /// Callbacks arrive in a fixed order: pool, covered sets (by ascending
+  /// id), then per process its rows (ascending event index) followed by its
+  /// probe pool.
   class ArenaExportSink {
    public:
     virtual ~ArenaExportSink() = default;
     virtual void pool(const EventIndex* data, std::size_t words) = 0;
     virtual void covered_set(std::uint32_t id,
                              std::span<const ProcessId> procs) = 0;
-    /// One event row: pool offset, covered-set id (or kExportFullRow),
+    /// One event row: pool offset, covered-set id (or kFullRow),
     /// probe offset, and stored component width.
     virtual void row(ProcessId p, std::uint32_t offset, std::uint32_t aux,
                      std::uint32_t probe_off, std::uint32_t width) = 0;
@@ -289,16 +221,11 @@ class ClusterTimestampEngine {
   ClusterTimestampEngine& operator=(const ClusterTimestampEngine&) = delete;
 
  private:
-  /// RowRef::aux marker for rows holding a full Fidge/Mattern vector.
-  static constexpr std::uint32_t kFullRowAux = 0xffff'ffffu;
-  /// probe_pool marker for "no cluster receive at or below the bound".
-  static constexpr std::uint32_t kNoProbe = 0xffff'ffffu;
-
   /// Per-event row descriptor, one 12-byte record instead of three
   /// parallel arrays: a query touches one cache line, not three.
   struct RowRef {
     std::uint32_t offset;     ///< row start in the arena pool
-    std::uint32_t aux;        ///< covered-set id, or kFullRowAux
+    std::uint32_t aux;        ///< covered-set id, or kFullRow
     std::uint32_t probe_off;  ///< start of the row's probes in probe_pool
   };
 

@@ -63,11 +63,4 @@ void max_into(EventIndex* into, const EventIndex* other, std::size_t n) {
   scalar::max_into(into, other, n);
 }
 
-void batch_leq(const EventIndex* bounds, const EventIndex* comps,
-               std::size_t n, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>(bounds[i] <= comps[i]);
-  }
-}
-
 }  // namespace ct::kernels

@@ -1,8 +1,7 @@
-// Vector precedence kernels.
+// Vector kernels of the timestamp backends.
 //
-// The precedence tests of every backend reduce to a handful of primitive
-// operations over vectors of 32-bit components: "component at slot s versus
-// a bound", its batched form, and "into = max(into, other)". Each
+// Two primitive operations over vectors of 32-bit components: "into =
+// max(into, other)" and "how many sorted components are <= a bound". Each
 // is a plain scalar loop: the portable path and the test reference. One op
 // also has an 8-lane AVX2 body, selected ONCE by CPUID on x86-64: max_into,
 // the Fidge/Mattern join that cold-start replay runs over full-width
@@ -16,12 +15,8 @@
 //   * no kernel reads past `n` elements; unaligned bases are allowed;
 //   * kernels never allocate and never touch errno/FP state.
 //
-// The single-component FM fast path (component_leq) is deliberately tiny and
-// inline: FM(e)[p_e] is e's own index, so the whole Fidge/Mattern precedence
-// test is one bounded lookup — engine.cpp, ondemand_fm.cpp,
-// recursive_precedence.cpp and the broker's batch path all funnel through
-// it. count_leq is likewise always inline: its power-of-two descent is
-// branch-free scalar CMOV and gains nothing from lanes.
+// count_leq is always inline: its power-of-two descent is branch-free
+// scalar CMOV and gains nothing from lanes.
 #pragma once
 
 #include <bit>
@@ -66,21 +61,6 @@ void max_into(EventIndex* into, const EventIndex* other, std::size_t n);
 
 /// into = max(into, other), element-wise: the Fidge/Mattern join.
 void max_into(EventIndex* into, const EventIndex* other, std::size_t n);
-
-/// Pairwise bound test over transposed operands: out[i] = (bounds[i] <=
-/// comps[i]). This is the streaming core of the batch-transpose path: the
-/// caller resolves arena rows once and gathers the per-pair component
-/// values contiguously.
-void batch_leq(const EventIndex* bounds, const EventIndex* comps,
-               std::size_t n, std::uint8_t* out);
-
-/// The single-component Fidge/Mattern fast path: FM(e)[p_e] equals e's own
-/// index, so e -> f over a row that covers slot `slot` is exactly
-/// `bound <= row[slot]`. Bounds-checked, branch-minimal.
-inline bool component_leq(EventIndex bound, const EventIndex* row,
-                          std::size_t width, std::size_t slot) {
-  return slot < width && bound <= row[slot];
-}
 
 /// Branchless upper_bound over a sorted ascending array: the number of
 /// elements <= `bound` (i.e. the index one past the last such element).

@@ -18,10 +18,12 @@
 //   columns mirroring the engine's arena:
 //     pool — the TsArena component pool, verbatim;
 //     row_offset / row_aux / row_probe / row_width — per-event RowRef
-//       descriptors, process-major in event-index order;
+//       descriptors, process-major in event-index order (row_aux holds
+//       kFullRow for a full row, core/cluster_precedence.hpp);
 //     row_counts / probe_counts — per-process extents (prefix sums are
 //       rebuilt at open, O(processes));
-//     probes — the store-time-resolved probe rows, flattened per process;
+//     probes — the store-time-resolved probe rows, flattened per process
+//       (kNoProbe where a slot has none);
 //     cs_sizes / cs_procs — the interned covered sets.
 //   footer manifest (varint body):
 //     version, arena flag, generation, covered WAL position, run length,
@@ -41,7 +43,8 @@
 // ladder reports); the per-column FNV digest is the whole-column second
 // opinion. The arena columns mirror exactly what
 // ClusterTimestampEngine::precedes reads, so a mapped snapshot answers
-// precedence with zero replay — cold start is O(map), not O(WAL).
+// precedence through the same test (cluster_precedes) with zero replay —
+// cold start is O(map), not O(WAL).
 //
 // A version-1 image (fixed-width event columns) and an object in the
 // removed CTS1 format are both refused by name; no reader for either is
@@ -73,10 +76,6 @@ inline constexpr std::uint64_t kEventRunRecords = 256;
 /// Newest images of each family — checkpoints and published generations —
 /// that survive pruning.
 inline constexpr std::size_t kRetainedImages = 2;
-
-/// Sentinels shared with ClusterTimestampEngine::kExport{FullRow,NoProbe}.
-inline constexpr std::uint32_t kColumnarFullRow = 0xffff'ffffu;
-inline constexpr std::uint32_t kColumnarNoProbe = 0xffff'ffffu;
 
 /// Thrown when stored and recomputed checksums disagree (footer CRC, block
 /// CRC, column digest, post-replay state digest). The recovery ladder

@@ -148,21 +148,12 @@ std::optional<bool> MonitoringEntity::precedes_metered(EventId e, EventId f,
 std::size_t MonitoringEntity::precedes_batch_metered(
     std::span<const std::pair<EventId, EventId>> pairs, QueryCost& cost,
     std::optional<bool>* out) const {
-  if (fm_) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto answer =
-          precedes_metered(pairs[i].first, pairs[i].second, cost);
-      if (!answer.has_value()) return i;
-      out[i] = answer;
-    }
-    return pairs.size();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto answer = precedes_metered(pairs[i].first, pairs[i].second, cost);
+    if (!answer.has_value()) return i;
+    out[i] = answer;
   }
-  std::vector<std::pair<const Event*, const Event*>> records;
-  records.reserve(pairs.size());
-  for (const auto& [e, f] : pairs) {
-    records.emplace_back(&stored_event(e), &stored_event(f));
-  }
-  return cluster_->precedes_batch_metered(records, cost, out);
+  return pairs.size();
 }
 
 std::vector<ClusterId> MonitoringEntity::cluster_ids() const {

@@ -136,12 +136,11 @@ class MonitoringEntity {
   std::optional<bool> precedes_metered(EventId e, EventId f,
                                        QueryCost& cost) const;
 
-  /// Batched metered precedence (the broker's bulk path): answers pairs in
-  /// order with tick accounting identical to sequential precedes_metered
-  /// calls, resolving records once and — on the cluster backend — running
-  /// the engine's kernel-backed batch entry. Returns the number of answered
-  /// pairs; a short count means the budget ran out at that pair (its slot
-  /// and all later slots are untouched).
+  /// Batched metered precedence: answers pairs in order under one meter,
+  /// exactly as sequential precedes_metered calls would, answer for answer
+  /// and tick for tick. Returns the number of answered pairs; a short count
+  /// means the budget ran out at that pair (its slot and all later slots
+  /// are untouched).
   std::size_t precedes_batch_metered(
       std::span<const std::pair<EventId, EventId>> pairs, QueryCost& cost,
       std::optional<bool>* out) const;

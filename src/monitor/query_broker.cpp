@@ -152,40 +152,30 @@ std::future<QueryResult> QueryBroker::submit_batch(
 
 std::future<QueryResult> QueryBroker::enqueue(std::unique_ptr<Job> job) {
   std::future<QueryResult> future = job->promise.get_future();
-  std::unique_ptr<Job> bounced;  // resolved outside the lock
-  bool schedule = false;
+  bool admitted = false;
   {
     std::lock_guard lock(mu_);
     ++health_.submitted;
-    if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
-      ++health_.shed;
-      if (options_.shed_policy == ShedPolicy::kRejectNewest) {
-        bounced = std::move(job);  // the incoming query is never admitted
-      } else {
-        // Bounce the head: it moves from in_flight to shed; the incoming
-        // query takes its place (and, later, its already-submitted pool
-        // task — queue size and pending tasks stay in lockstep).
-        bounced = std::move(queue_.front());
-        queue_.pop_front();
-        --health_.in_flight;
-        queue_.push_back(std::move(job));
-        ++health_.in_flight;
-      }
-    } else {
+    admitted = options_.max_queue == 0 || queue_.size() < options_.max_queue;
+    if (admitted) {
       queue_.push_back(std::move(job));
       ++health_.in_flight;
       ++scheduled_;
-      schedule = true;
+      health_.max_queue_depth =
+          std::max<std::uint64_t>(health_.max_queue_depth, queue_.size());
+    } else {
+      ++health_.shed;
     }
-    health_.max_queue_depth =
-        std::max<std::uint64_t>(health_.max_queue_depth, queue_.size());
   }
-  if (bounced) {
+  if (!admitted) {
+    // Reject-newest: the incoming query is never admitted, and is resolved
+    // outside the lock.
     QueryResult shed;
     shed.outcome = QueryOutcome::kShed;
-    bounced->promise.set_value(std::move(shed));
+    job->promise.set_value(std::move(shed));
+    return future;
   }
-  if (schedule) pool_.submit([this] { run_one(); });
+  pool_.submit([this] { run_one(); });  // one pool task per admitted job
   return future;
 }
 
@@ -333,44 +323,7 @@ QueryResult QueryBroker::execute(const Job& job) {
       ServingBackend worst = ServingBackend::kNone;
       ChainStatus failure = ChainStatus::kOk;
       result.batch.assign(job.pairs.size(), std::nullopt);
-      std::size_t start = 0;
-      // Bulk fast path: with no answer cache and a healthy cluster link,
-      // the whole batch runs through the monitor's kernel-backed batch
-      // entry under ONE epoch pin — tick accounting and answers are
-      // identical to the per-pair chain below (which, with the cache off,
-      // is exactly "cluster backend per pair"). Any mid-batch backend
-      // failure falls back to the chain from the failing pair on.
-      if (!answer_cache_ && !backend_open(ServingBackend::kCluster)) {
-        std::size_t done = 0;
-        bool bulk_failed = false;
-        {
-          const util::EpochDomain::Guard pin =
-              util::EpochDomain::global().pin();
-          try {
-            done = monitor_.precedes_batch_metered(job.pairs, cost,
-                                                   result.batch.data());
-          } catch (const CheckFailure&) {
-            bulk_failed = true;
-            while (done < job.pairs.size() &&
-                   result.batch[done].has_value()) {
-              ++done;  // the answered prefix stands; retry the rest
-            }
-          }
-        }
-        if (done > 0) {
-          // The chain resets the failure streak after every served pair.
-          std::lock_guard lock(mu_);
-          breaker(ServingBackend::kCluster).consecutive_failures = 0;
-          worst = worse(worst, ServingBackend::kCluster);
-        }
-        if (bulk_failed) {
-          start = done;  // the failing pair re-runs through the full chain
-        } else {
-          if (done < job.pairs.size()) failure = ChainStatus::kDeadline;
-          start = job.pairs.size();
-        }
-      }
-      for (std::size_t i = start; i < job.pairs.size(); ++i) {
+      for (std::size_t i = 0; i < job.pairs.size(); ++i) {
         bool answer = false;
         ServingBackend used = ServingBackend::kNone;
         const ChainStatus status = chain_precedes(
@@ -487,7 +440,7 @@ void QueryBroker::note_failure(ServingBackend link) {
   std::lock_guard lock(mu_);
   Breaker& b = breaker(link);
   if (b.open) return;
-  if (++b.consecutive_failures >= options_.breaker_failure_threshold) {
+  if (++b.consecutive_failures >= kBreakerFailureThreshold) {
     b.open = true;
     b.consecutive_failures = 0;
     b.bypasses = 0;

@@ -9,9 +9,9 @@
 //
 //  * deadlines — every query carries a work-tick budget (QueryCost);
 //    exhaustion resolves the query as kDeadlineExpired instead of blocking;
-//  * admission control — a bounded queue with a configurable shedding
-//    policy (reject-newest / reject-oldest) and a BrokerHealth accounting
-//    in which every submitted query lands in exactly one bucket;
+//  * admission control — a bounded queue that sheds the incoming query
+//    when full (reject-newest), and a BrokerHealth accounting in which
+//    every submitted query lands in exactly one bucket;
 //  * a fixed fallback chain with per-link circuit breakers — answer cache,
 //    then cluster timestamps → differential store → on-demand FM, then
 //    explicit unknown (docs/BACKENDS.md). A tripped or corrupted link
@@ -94,12 +94,6 @@ enum class QueryOutcome : std::uint8_t {
 
 const char* to_string(QueryOutcome o);
 
-/// What to drop when the admission queue is full.
-enum class ShedPolicy : std::uint8_t {
-  kRejectNewest,  ///< bounce the incoming query (caller sees kShed)
-  kRejectOldest,  ///< bounce the queue head, admit the incoming query
-};
-
 /// Structured resolution of one query. Exactly one of the payload fields is
 /// populated, matching the submit call (answer / frontiers / batch).
 struct QueryResult {
@@ -149,15 +143,13 @@ struct BrokerHealth {
 
 struct BrokerOptions {
   /// Cap on *queued* (admitted, not yet executing) queries; 0 = unbounded.
+  /// A query submitted to a full queue is shed (kShed) at once.
   std::size_t max_queue = 64;
-  ShedPolicy shed_policy = ShedPolicy::kRejectNewest;
   /// Work-tick budget applied when a submit call does not name one;
   /// 0 = unlimited.
   std::uint64_t default_deadline = 0;
   /// Precedence-answer cache entries; 0 disables the cache.
   std::size_t answer_cache_capacity = 4096;
-  /// Consecutive backend faults (CheckFailure) that trip its breaker.
-  std::size_t breaker_failure_threshold = 3;
   /// While a non-audited backend's breaker is open, every Nth bypassing
   /// query probes it; a successful probe closes the breaker. 0 = never.
   std::size_t breaker_probe_stride = 32;
@@ -283,6 +275,9 @@ class QueryBroker {
       ServingBackend::kOnDemandFm};
   /// LRU capacity of the on-demand FM link.
   static constexpr std::size_t kOnDemandCacheCapacity = 256;
+  /// Consecutive faults (CheckFailure) of a chain link that trip its
+  /// breaker.
+  static constexpr std::size_t kBreakerFailureThreshold = 3;
 
   using PairKey = std::pair<std::uint64_t, std::uint64_t>;
   struct PairKeyHash {

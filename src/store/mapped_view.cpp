@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/cluster_precedence.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "util/check.hpp"
@@ -214,27 +215,18 @@ bool MappedSnapshot::precedes(const Event& ev_e, const Event& ev_f) const {
                "event " << f << " is not in the image");
   CT_CHECK_MSG(e.process < process_count(),
                "event " << e << " is not in the image");
-  if (e == f) return false;
-  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
 
   const std::size_t r =
       static_cast<std::size_t>(row_base_[f.process]) + f.index - 1;
-  const std::uint32_t* row = pool_ + row_offset_[r];
-  const std::uint32_t aux = row_aux_[r];
-  if (aux == kColumnarFullRow) return e.index <= row[e.process];
-
-  const CsIndex& cs = cs_[aux];
-  if (const std::int32_t slot = cs.pos[e.process]; slot >= 0) {
-    return e.index <= row[static_cast<std::size_t>(slot)];
+  ResolvedRow row{.id = f, .pool = pool_, .values = pool_ + row_offset_[r]};
+  if (const std::uint32_t aux = row_aux_[r]; aux != kFullRow) {
+    const CsIndex& cs = cs_[aux];
+    row.slot_of = cs.pos.data();
+    row.probes = probes_ + probe_base_[f.process] + row_probe_[r];
+    row.width = static_cast<std::size_t>(cs.size);
   }
-  const std::uint32_t* probe_row =
-      probes_ + probe_base_[f.process] + row_probe_[r];
-  for (std::uint64_t i = 0; i < cs.size; ++i) {
-    const std::uint32_t off = probe_row[i];
-    if (off == kColumnarNoProbe) continue;
-    if (e.index <= pool_[off + e.process]) return true;
-  }
-  return false;
+  QueryCost unlimited;
+  return *cluster_precedes(ev_e, row, unlimited);
 }
 
 void MappedSnapshot::verify_structure() const {
@@ -297,7 +289,7 @@ void MappedSnapshot::verify_structure() const {
                           << ") past the pool at byte offset "
                           << ro->offset + r * 4);
       const std::uint32_t aux = row_aux_[i];
-      if (aux == kColumnarFullRow) {
+      if (aux == kFullRow) {
         CT_CHECK_MSG(width == procs,
                      "full row " << r << " has width " << width
                                  << ", not " << procs << ", at byte offset "
@@ -321,7 +313,7 @@ void MappedSnapshot::verify_structure() const {
     }
     for (std::uint64_t j = probe_base_[p]; j < probe_base_[p + 1]; ++j) {
       const std::uint32_t off = probes_[static_cast<std::size_t>(j)];
-      CT_CHECK_MSG(off == kColumnarNoProbe ||
+      CT_CHECK_MSG(off == kNoProbe ||
                        off + static_cast<std::uint64_t>(procs) <=
                            manifest_.pool_words,
                    "probe " << j << " targets pool offset " << off

@@ -111,11 +111,11 @@ class MappedSnapshot {
   /// Delivered events of process `p` (arena images only).
   EventIndex delivered_count(ProcessId p) const;
 
-  /// Happened-before from the mapped arena columns — the same algorithm as
-  /// ClusterTimestampEngine::precedes, byte for byte of state. Throws
-  /// CheckFailure on an events-only image, when `f` is not in this image,
-  /// or when `e`'s process is not — the operand checks the engine makes;
-  /// the rows it follows are trusted after a verify_structure() pass.
+  /// Happened-before from the mapped arena columns: resolves f's row and
+  /// calls the engine's test, cluster_precedes (core/cluster_precedence.hpp).
+  /// Throws CheckFailure on an events-only image, when `f` is not in this
+  /// image, or when `e`'s process is not — the operand checks the engine
+  /// makes; the rows it follows are trusted after a verify_structure() pass.
   bool precedes(const Event& e, const Event& f) const;
 
   /// Recomputes every block CRC (covers every column byte). O(file).

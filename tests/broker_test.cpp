@@ -228,7 +228,6 @@ TEST(QueryBroker, AdmissionShedsNewestWhenConfigured) {
   ThreadPool pool(1);
   BrokerOptions options;
   options.max_queue = 2;
-  options.shed_policy = ShedPolicy::kRejectNewest;
   QueryBroker broker(monitor, pool, options);
 
   PoolGate gate(pool);
@@ -250,93 +249,6 @@ TEST(QueryBroker, AdmissionShedsNewestWhenConfigured) {
   EXPECT_TRUE(h.accounted());
   EXPECT_EQ(h.submitted, 3u);
   EXPECT_EQ(h.shed, 1u);
-  EXPECT_EQ(h.in_flight, 0u);
-  EXPECT_EQ(h.max_queue_depth, 2u);
-}
-
-TEST(QueryBroker, AdmissionShedsOldestWhenConfigured) {
-  const Trace t = small_trace();
-  MonitoringEntity monitor(t.process_count(), broker_monitor_options(t));
-  feed(monitor, t);
-  ThreadPool pool(1);
-  BrokerOptions options;
-  options.max_queue = 2;
-  options.shed_policy = ShedPolicy::kRejectOldest;
-  QueryBroker broker(monitor, pool, options);
-
-  PoolGate gate(pool);
-  auto f1 = broker.submit_precedence(EventId{0, 1}, EventId{1, 1});
-  auto f2 = broker.submit_precedence(EventId{0, 1}, EventId{1, 2});
-  auto f3 = broker.submit_precedence(EventId{0, 1}, EventId{1, 3});
-
-  // The queue head (oldest) is bounced; the incoming query takes its slot.
-  ASSERT_EQ(f1.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(f1.get().outcome, QueryOutcome::kShed);
-
-  gate.open();
-  broker.drain();
-  EXPECT_EQ(f2.get().outcome, QueryOutcome::kAnswered);
-  EXPECT_EQ(f3.get().outcome, QueryOutcome::kAnswered);
-
-  const BrokerHealth h = broker.health();
-  EXPECT_TRUE(h.accounted());
-  EXPECT_EQ(h.submitted, 3u);
-  EXPECT_EQ(h.shed, 1u);
-  EXPECT_EQ(h.in_flight, 0u);
-}
-
-TEST(QueryBroker, RejectOldestBoundaryIsExactAtCapacity) {
-  const Trace t = small_trace();
-  MonitoringEntity monitor(t.process_count(), broker_monitor_options(t));
-  feed(monitor, t);
-  ThreadPool pool(1);
-  BrokerOptions options;
-  options.max_queue = 2;
-  options.shed_policy = ShedPolicy::kRejectOldest;
-  QueryBroker broker(monitor, pool, options);
-
-  PoolGate gate(pool);
-  // Exactly AT capacity: both admitted, nothing shed, nothing resolved.
-  auto f1 = broker.submit_precedence(EventId{0, 1}, EventId{1, 1});
-  auto f2 = broker.submit_precedence(EventId{0, 1}, EventId{1, 2});
-  EXPECT_EQ(f1.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-  EXPECT_EQ(f2.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-  {
-    const BrokerHealth h = broker.health();
-    EXPECT_EQ(h.submitted, 2u);
-    EXPECT_EQ(h.shed, 0u);
-    EXPECT_EQ(h.in_flight, 2u);
-    EXPECT_EQ(h.max_queue_depth, 2u);
-  }
-
-  // Capacity + 1: exactly the head is bounced, synchronously; the queue
-  // depth never exceeds capacity.
-  auto f3 = broker.submit_precedence(EventId{0, 1}, EventId{1, 3});
-  ASSERT_EQ(f1.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(f1.get().outcome, QueryOutcome::kShed);
-  EXPECT_EQ(f2.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-
-  // Capacity + 2: the bounce is FIFO — the next-oldest survivor goes.
-  auto f4 = broker.submit_precedence(EventId{0, 1}, EventId{1, 4});
-  ASSERT_EQ(f2.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(f2.get().outcome, QueryOutcome::kShed);
-
-  gate.open();
-  broker.drain();
-  EXPECT_EQ(f3.get().outcome, QueryOutcome::kAnswered);
-  EXPECT_EQ(f4.get().outcome, QueryOutcome::kAnswered);
-
-  const BrokerHealth h = broker.health();
-  EXPECT_TRUE(h.accounted());
-  EXPECT_EQ(h.submitted, 4u);
-  EXPECT_EQ(h.shed, 2u);
-  EXPECT_EQ(h.answered, 2u);
   EXPECT_EQ(h.in_flight, 0u);
   EXPECT_EQ(h.max_queue_depth, 2u);
 }
@@ -675,39 +587,27 @@ TEST(QueryBroker, QueueExactlyFullIsAdmittedAcrossPoliciesAndCapacities) {
   MonitoringEntity monitor(t.process_count(), broker_monitor_options(t));
   feed(monitor, t);
 
-  struct Row {
-    ShedPolicy policy;
-    std::size_t capacity;
-  };
-  const Row rows[] = {
-      {ShedPolicy::kRejectNewest, 1}, {ShedPolicy::kRejectNewest, 2},
-      {ShedPolicy::kRejectNewest, 4}, {ShedPolicy::kRejectOldest, 1},
-      {ShedPolicy::kRejectOldest, 2}, {ShedPolicy::kRejectOldest, 4},
-  };
-  for (const Row& row : rows) {
-    SCOPED_TRACE(std::string("policy ") +
-                 (row.policy == ShedPolicy::kRejectNewest ? "newest"
-                                                          : "oldest") +
-                 " capacity " + std::to_string(row.capacity));
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
     ThreadPool pool(1);
     BrokerOptions options;
-    options.max_queue = row.capacity;
-    options.shed_policy = row.policy;
+    options.max_queue = capacity;
     QueryBroker broker(monitor, pool, options);
 
     // Fill the queue to EXACTLY its capacity: no query may shed at the
     // boundary itself.
     PoolGate gate(pool);
     std::vector<std::future<QueryResult>> fill;
-    for (std::size_t i = 0; i < row.capacity; ++i) {
+    for (std::size_t i = 0; i < capacity; ++i) {
       fill.push_back(broker.submit_precedence(
           EventId{0, 1}, EventId{1, static_cast<EventIndex>(i + 1)}));
     }
     EXPECT_EQ(broker.health().shed, 0u);
-    EXPECT_EQ(broker.health().max_queue_depth, row.capacity);
+    EXPECT_EQ(broker.health().max_queue_depth, capacity);
 
-    // One past capacity sheds exactly one query — which one depends on the
-    // policy; every admitted query still resolves exactly.
+    // One past capacity sheds exactly the incoming query; every admitted
+    // query still resolves exactly.
     auto extra = broker.submit_precedence(EventId{0, 1}, EventId{2, 1});
     EXPECT_EQ(broker.health().shed, 1u);
     gate.open();
@@ -722,16 +622,11 @@ TEST(QueryBroker, QueueExactlyFullIsAdmittedAcrossPoliciesAndCapacities) {
           std::count(outcomes.begin(), outcomes.end(), o));
     };
     EXPECT_EQ(count(QueryOutcome::kShed), 1u);
-    EXPECT_EQ(count(QueryOutcome::kAnswered), row.capacity);
-    if (row.policy == ShedPolicy::kRejectNewest) {
-      EXPECT_EQ(extra_outcome, QueryOutcome::kShed);
-    } else {
-      EXPECT_EQ(outcomes.front(), QueryOutcome::kShed);
-      EXPECT_EQ(extra_outcome, QueryOutcome::kAnswered);
-    }
+    EXPECT_EQ(count(QueryOutcome::kAnswered), capacity);
+    EXPECT_EQ(extra_outcome, QueryOutcome::kShed);
     const BrokerHealth h = broker.health();
     EXPECT_TRUE(h.accounted());
-    EXPECT_EQ(h.submitted, row.capacity + 1);
+    EXPECT_EQ(h.submitted, capacity + 1);
     EXPECT_EQ(h.in_flight, 0u);
   }
 }
@@ -989,11 +884,12 @@ TEST(EpochPublication, CorruptionRepairStormStaysAccounted) {
   }
 }
 
-TEST(EpochPublication, EngineCursorAndBatchReadsRaceRebuilds) {
-  // Engine-level storm, below the broker: cursors pin the epoch domain for
-  // their lifetime, raw batch calls pin around each call, and the writer
-  // republishes snapshots continuously. Expected answers are computed
-  // before the storm; every snapshot must serve them bit-identically.
+TEST(EpochPublication, PinnedEngineReadsRaceRebuilds) {
+  // Engine-level storm, below the broker: readers make per-pair
+  // precedes_metered calls under an explicit pin — the broker's read
+  // discipline — while the writer republishes snapshots continuously.
+  // Expected answers are computed before the storm; every snapshot must
+  // serve them bit-identically.
   const Trace t = small_trace();
   ClusterEngineConfig config;
   config.max_cluster_size = 4;
@@ -1006,42 +902,38 @@ TEST(EpochPublication, EngineCursorAndBatchReadsRaceRebuilds) {
   std::vector<const Event*> all;
   for (const EventId id : order) all.push_back(&t.event(id));
 
+  // Scattered pairs, then every event against one fixed anchor (the shape
+  // of a frontier query).
   std::vector<std::pair<const Event*, const Event*>> pairs;
   for (std::size_t i = 0; i < all.size(); i += 5) {
     for (std::size_t j = 0; j < all.size(); j += 7) {
       pairs.emplace_back(all[i], all[j]);
     }
   }
-  std::vector<std::optional<bool>> expected(pairs.size());
-  {
-    QueryCost cost;
-    ASSERT_EQ(engine.precedes_batch_metered(pairs, cost, expected.data()),
-              pairs.size());
-  }
-  std::vector<std::uint8_t> expected_fwd(all.size());
   const Event& anchor = t.event(order[order.size() / 2]);
-  engine.cursor(anchor).anchor_precedes_batch(all, expected_fwd.data());
+  for (const Event* x : all) pairs.emplace_back(&anchor, x);
+
+  const auto answers = [&] {
+    QueryCost cost;
+    std::vector<std::optional<bool>> out;
+    out.reserve(pairs.size());
+    for (const auto& [e, f] : pairs) {
+      out.push_back(engine.precedes_metered(*e, *f, cost));
+    }
+    return out;
+  };
+  const std::vector<std::optional<bool>> expected = answers();
+  ASSERT_TRUE(std::all_of(expected.begin(), expected.end(),
+                          [](const auto& a) { return a.has_value(); }));
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int w = 0; w < 3; ++w) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        // Raw engine reads hold an explicit pin (the broker does this for
-        // its callers); the cursor pins itself for its whole lifetime.
-        {
-          const util::EpochDomain::Guard pin =
-              util::EpochDomain::global().pin();
-          QueryCost cost;
-          std::vector<std::optional<bool>> got(pairs.size());
-          ASSERT_EQ(engine.precedes_batch_metered(pairs, cost, got.data()),
-                    pairs.size());
-          ASSERT_EQ(got, expected);
-        }
-        const auto cursor = engine.cursor(anchor);
-        std::vector<std::uint8_t> fwd(all.size());
-        cursor.anchor_precedes_batch(all, fwd.data());
-        ASSERT_EQ(fwd, expected_fwd);
+        const util::EpochDomain::Guard pin =
+            util::EpochDomain::global().pin();
+        ASSERT_EQ(answers(), expected);
       }
     });
   }

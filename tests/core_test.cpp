@@ -341,35 +341,6 @@ TEST(Engine, EveryEntryPointChecksBothOperands) {
   EXPECT_THROW(engine.precedes_metered(seen, unseen, cost), CheckFailure);
   EXPECT_THROW(engine.precedes_metered(stranger, seen, cost), CheckFailure);
 
-  // The batch loop, on both its transpose (unlimited) and sequential
-  // (budgeted) paths.
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{100}}) {
-    for (const auto& pair : {std::pair{&seen, &unseen},
-                             std::pair{&stranger, &seen}}) {
-      const std::vector<std::pair<const Event*, const Event*>> pairs = {
-          {&seen, &seen}, pair};
-      std::vector<std::optional<bool>> out(pairs.size());
-      QueryCost batch_cost{.ticks = 0, .budget = budget};
-      EXPECT_THROW(engine.precedes_batch_metered(pairs, batch_cost,
-                                                 out.data()),
-                   CheckFailure)
-          << "budget " << budget;
-    }
-  }
-
-  // The cursor: its anchor, then x on either side of the anchor.
-  EXPECT_THROW(engine.cursor(unseen), CheckFailure);
-  EXPECT_THROW(engine.cursor(stranger), CheckFailure);
-  const auto cursor = engine.cursor(seen);
-  EXPECT_THROW(cursor.anchor_precedes(unseen), CheckFailure);
-  EXPECT_THROW(cursor.precedes_anchor(stranger), CheckFailure);
-  std::uint8_t flag = 0;
-  const Event* unseen_x[] = {&unseen};
-  const Event* stranger_x[] = {&stranger};
-  EXPECT_THROW(cursor.anchor_precedes_batch(unseen_x, &flag), CheckFailure);
-  EXPECT_THROW(cursor.precedes_anchor_batch(stranger_x, &flag),
-               CheckFailure);
-
   EXPECT_THROW(engine.inject_corruption(unseen.id, 0, 1), CheckFailure);
   EXPECT_THROW(engine.inject_corruption(stranger.id, 0, 1), CheckFailure);
 

@@ -1,9 +1,9 @@
 // Tests for the performance layer (docs/PERF.md).
 //
 // The layer's contract is "faster, never different": every acceleration —
-// the arena store, store-time probe resolution, the precedence cursor,
-// the heap-accelerated greedy clustering, the AVX2 join — must be
-// observationally identical to the code it replaces.
+// the arena store, store-time probe resolution, the heap-accelerated greedy
+// clustering, the AVX2 join — must be observationally identical to the
+// code it replaces.
 // These tests pin that down: fast implementations and slow references are
 // run side by side on the same inputs and compared answer-for-answer (and,
 // where cost metering is part of the observable surface, tick-for-tick).
@@ -196,29 +196,6 @@ TEST_P(ArenaEquivalence, AnswersAndTicksMatchLegacyAllPairs) {
   }
 }
 
-TEST_P(ArenaEquivalence, CursorMatchesLegacyBothDirections) {
-  const Trace trace = family_trace(GetParam());
-  ClusterTimestampEngine engine(trace.process_count(), engine_config(5),
-                                make_merge_on_nth(2.0));
-  engine.observe_trace(trace);
-  const ReferencePrecedence reference(engine, trace);
-
-  // Every event as anchor would be quadratic twice over; a stride keeps it
-  // fast while still hitting full rows, projections, and sync halves.
-  const auto& order = trace.delivery_order();
-  for (std::size_t i = 0; i < order.size(); i += 7) {
-    const Event& anchor = trace.event(order[i]);
-    const auto cur = engine.cursor(anchor);
-    for (const EventId x : order) {
-      const Event& ev_x = trace.event(x);
-      ASSERT_EQ(cur.anchor_precedes(ev_x), reference.precedes(anchor, ev_x))
-          << trace.name() << ": anchor=" << order[i] << " x=" << x;
-      ASSERT_EQ(cur.precedes_anchor(ev_x), reference.precedes(ev_x, anchor))
-          << trace.name() << ": x=" << x << " anchor=" << order[i];
-    }
-  }
-}
-
 // The monitor's batch entry must match sequential precedes_metered calls
 // answer-for-answer AND tick-for-tick on both timestamp backends; a
 // budgeted batch must stop at exactly the pair where a running sequential
@@ -301,34 +278,6 @@ TEST_P(ArenaEquivalence, BatchedPrecedenceMatchesSequentialAnswersAndTicks) {
       EXPECT_THROW(monitor.precedes_batch_metered(rows, cost, out.data()),
                    CheckFailure)
           << label;
-    }
-  }
-}
-
-// The cursor's batched one-sided entry points must agree with its scalar
-// calls for every event, both directions, across full rows, projections,
-// and sync halves.
-TEST_P(ArenaEquivalence, CursorBatchMatchesScalarCursorCalls) {
-  const Trace trace = family_trace(GetParam());
-  ClusterTimestampEngine arena(trace.process_count(), engine_config(5),
-                               make_merge_on_nth(2.0));
-  arena.observe_trace(trace);
-
-  const auto& order = trace.delivery_order();
-  std::vector<const Event*> xs;
-  xs.reserve(order.size());
-  for (const EventId x : order) xs.push_back(&trace.event(x));
-
-  for (std::size_t i = 0; i < order.size(); i += 9) {
-    const auto cur = arena.cursor(trace.event(order[i]));
-    std::vector<std::uint8_t> fwd(xs.size(), 0xcc), bwd(xs.size(), 0xcc);
-    cur.anchor_precedes_batch(xs, fwd.data());
-    cur.precedes_anchor_batch(xs, bwd.data());
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      ASSERT_EQ(fwd[k] != 0, cur.anchor_precedes(*xs[k]))
-          << trace.name() << " anchor=" << order[i] << " k=" << k;
-      ASSERT_EQ(bwd[k] != 0, cur.precedes_anchor(*xs[k]))
-          << trace.name() << " anchor=" << order[i] << " k=" << k;
     }
   }
 }
@@ -519,19 +468,6 @@ TEST(Kernels, CountLeqMatchesUpperBound) {
       }
     }
   }
-}
-
-TEST(Kernels, ComponentLeqBoundsChecks) {
-  const EventIndex row[3] = {5, 0, std::numeric_limits<EventIndex>::max()};
-  EXPECT_TRUE(kernels::component_leq(5, row, 3, 0));
-  EXPECT_FALSE(kernels::component_leq(6, row, 3, 0));
-  EXPECT_TRUE(kernels::component_leq(0, row, 3, 1));
-  EXPECT_FALSE(kernels::component_leq(1, row, 3, 1));
-  EXPECT_TRUE(kernels::component_leq(std::numeric_limits<EventIndex>::max(),
-                                     row, 3, 2));
-  // Out-of-range slot is "not covered", never a read.
-  EXPECT_FALSE(kernels::component_leq(0, row, 3, 3));
-  EXPECT_FALSE(kernels::component_leq(0, row, 0, 0));
 }
 
 // -------------------------------------------------------------- AVX2 body
