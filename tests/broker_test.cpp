@@ -886,8 +886,8 @@ TEST(EpochPublication, CorruptionRepairStormStaysAccounted) {
 
 TEST(EpochPublication, PinnedEngineReadsRaceRebuilds) {
   // Engine-level storm, below the broker: readers make per-pair
-  // precedes_metered calls under an explicit pin — the broker's read
-  // discipline — while the writer republishes snapshots continuously.
+  // precedes_metered calls, each under an explicit pin (the broker's read
+  // discipline), while the writer republishes snapshots continuously.
   // Expected answers are computed before the storm; every snapshot must
   // serve them bit-identically.
   const Trace t = small_trace();
@@ -918,6 +918,7 @@ TEST(EpochPublication, PinnedEngineReadsRaceRebuilds) {
     std::vector<std::optional<bool>> out;
     out.reserve(pairs.size());
     for (const auto& [e, f] : pairs) {
+      const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
       out.push_back(engine.precedes_metered(*e, *f, cost));
     }
     return out;
@@ -931,8 +932,6 @@ TEST(EpochPublication, PinnedEngineReadsRaceRebuilds) {
   for (int w = 0; w < 3; ++w) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const util::EpochDomain::Guard pin =
-            util::EpochDomain::global().pin();
         ASSERT_EQ(answers(), expected);
       }
     });
